@@ -42,11 +42,22 @@ def _load(path: str) -> FormalComplex:
 
 
 def _load_validated(path: str, force: bool = False) -> FormalComplex:
+    """Load and validate; `force` skips only the homological checks."""
     c = _load(path)
     report = complexes.validate(c)
-    if not report.ok and not force:
+    if not (report.structural_ok if force else report.ok):
         raise ValidationFailure(path, report.failed())
     return c
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -75,14 +86,20 @@ def _cmd_validate(args) -> int:
 
 def _cmd_invariants(args) -> int:
     c = _load_validated(args.file, force=args.force)
-    np = invariants.nu_plus(c)
-    print(f"nu_plus = {np}")
-    print(f"nu_plus_dual = {invariants.nu_plus(complexes.dual(c))}")
-    print(f"tau = {invariants.tau(c)}")
-    print(f"genus = {complexes.genus(c)}")
-    vk_max = args.vk_max if args.vk_max is not None else np
-    for k in range(vk_max + 1):
-        print(f"V_{k} = {invariants.v_k(c, k)}")
+    try:
+        np = invariants.nu_plus(c)
+        print(f"nu_plus = {np}")
+        print(f"nu_plus_dual = {invariants.nu_plus(complexes.dual(c))}")
+        print(f"tau = {invariants.tau(c)}")
+        print(f"genus = {complexes.genus(c)}")
+        vk_max = args.vk_max if args.vk_max is not None else np
+        for k in range(vk_max + 1):
+            print(f"V_{k} = {invariants.v_k(c, k)}")
+    except ValueError as exc:
+        # only a --force run gets here: the complex breaks an axiom the
+        # invariants rely on
+        _err(str(exc))
+        return 1
     return 0
 
 
@@ -196,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", parents=[common], help="nu+, tau, genus, V_k")
     p.add_argument("file")
-    p.add_argument("--vk-max", type=int, default=None, metavar="K")
-    p.add_argument("--force", action="store_true", help="compute even if validation fails")
+    p.add_argument("--vk-max", type=_nonnegative_int, default=None, metavar="K")
+    p.add_argument("--force", action="store_true",
+                   help="compute even if the homological checks fail")
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("upsilon", parents=[common], help="exact PL Upsilon breakpoints")
@@ -216,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gtower", parents=[common], help="the region tower")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_nonnegative_int, required=True)
     p.set_defaults(func=_cmd_gtower)
 
     p = sub.add_parser("compare", parents=[common], help="order of two complexes")

@@ -126,6 +126,57 @@ def test_invariants_force_runs_anyway(tmp_path, capsys):
     assert "nu_plus = 0" in out
 
 
+def test_invariants_force_still_rejects_structural_failure(tmp_path, capsys):
+    # an even grading drop: --force skips only the homological checks
+    bad = tmp_path / "parity.fkc"
+    bad.write_text("gen a 0 0 0\ngen b 0 0 0\ngen c 0 0 0\nd a : b\n")
+    code, out, err = run(capsys, "invariants", str(bad), "--force")
+    assert code == 1 and out == ""
+    assert err.startswith("fkc: error:") and "parity" in err
+
+
+def test_validate_empty_file(tmp_path, capsys):
+    empty = tmp_path / "empty.fkc"
+    empty.write_text("")
+    code, out, _ = run(capsys, "validate", str(empty))
+    assert code == 1
+    assert out == (
+        "parity: ok\n"
+        "filtered-boundary: ok\n"
+        "d-squared: ok\n"
+        "odd-rank: FAIL (rank 0 is even)\n"
+        "global-homology: FAIL (H_even=0, H_odd=0 (want 1, 0))\n"
+        "symmetry: ok\n"
+        "alexander-filtration: FAIL (subquotient Euler characteristic 0)\n"
+        "algebraic-filtration: FAIL (subquotient Euler characteristic 0)\n"
+    )
+
+
+def test_invariants_empty_file(tmp_path, capsys):
+    empty = tmp_path / "empty.fkc"
+    empty.write_text("")
+    code, out, err = run(capsys, "invariants", str(empty))
+    assert code == 1 and out == ""
+    assert err.startswith("fkc: error:") and "failed validation" in err
+    code, out, err = run(capsys, "invariants", str(empty), "--force")
+    assert code == 1 and out == ""
+    assert err == "fkc: error: H_0 vanishes; the complex violates the axioms\n"
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("invariants", "t2_3", "--vk-max", "-1"), "--vk-max"),
+        (("gtower", "c3", "--depth", "-1"), "--depth"),
+    ],
+)
+def test_negative_flags_are_usage_errors(data, capsys, argv, flag):
+    cmd, name, *rest = argv
+    code, out, err = run(capsys, cmd, data[name], *rest)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: not a non-negative integer: '-1'" in err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "syntax.fkc"
     bad.write_text("gen a 0 0 0\nd a : zz\n")

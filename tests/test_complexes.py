@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
@@ -403,7 +403,7 @@ def structural_complexes(draw):
     d^2 = 0 is not enforced, so validate may report failures; it must
     never raise, and serialization must round-trip regardless.
     """
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 6))
     gens = []
     for i in range(n):
         gr = draw(st.integers(-3, 3))
@@ -446,6 +446,54 @@ def test_dual_and_reverse_preserve_structure(c):
         assert report["parity"].passed
         assert report["filtered-boundary"].passed
     assert validate(dual(c))["d-squared"].passed == validate(c)["d-squared"].passed
+
+
+def report_tuples(c):
+    return [(ch.name, ch.passed, ch.detail) for ch in validate(c).checks]
+
+
+def test_validate_empty_complex_reports():
+    empty = FormalComplex("", (), ())
+    assert validate(empty).failed() == (
+        "odd-rank", "global-homology", "alexander-filtration", "algebraic-filtration"
+    )
+    assert report_tuples(empty) == oracles.oracle_validate(empty)
+
+
+@given(structural_complexes())
+def test_validate_matches_exhaustive_oracle(c):
+    assert report_tuples(c) == oracles.oracle_validate(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(catalog.builders())),
+    st.integers(-3, 6),
+    st.integers(-3, 6),
+)
+@example("unknot", 2, 1)
+@example("c2", 5, 0)
+@example("t2_5", 4, 4)
+def test_validate_matches_oracle_with_far_square(atom, a, b):
+    c = direct_sum(catalog.builders()[atom], catalog.square_stabilizer(Point(a, b)))
+    assert report_tuples(c) == oracles.oracle_validate(c)
+
+
+def test_validate_subcomplex_count_ignores_coordinate_size(monkeypatch):
+    built = []
+    post_init = Subcomplex.__post_init__
+
+    def counting(self):
+        built.append(self.thresholds)
+        post_init(self)
+
+    monkeypatch.setattr(Subcomplex, "__post_init__", counting)
+    counts = []
+    for s in (3, 3000):
+        built.clear()
+        assert validate(direct_sum(catalog.unknot(), catalog.square_stabilizer(Point(s, s)))).ok
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 # -- threshold subcomplexes -------------------------------------------------
