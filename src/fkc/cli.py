@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--max-enum",
-        type=int,
+        type=_nonnegative_int,
         default=invariants.DEFAULT_ENUM_CAP,
         metavar="N",
         help="cap on coset enumerations (default %(default)s)",

@@ -15,15 +15,14 @@ homology computation a finite GF(2) rank problem per grading.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, takewhile
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .gf2 import BitMatrix, rank
+from .gf2 import BitMatrix, BitVec, Span, rank, relations
 from .region import ClosedRegion, Point
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
@@ -139,6 +138,11 @@ class FormalComplex:
     @cached_property
     def support_points(self) -> tuple[Point, ...]:
         return tuple(Point(g.alg, g.alex) for g in self.gens)
+
+    @cached_property
+    def h0_probe(self) -> "H0Probe":
+        """The homological-generator probe, built once per complex."""
+        return H0Probe(self)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +365,7 @@ class Subcomplex:
         keep = self.slice_positions(n)
         if len(keep) == full.cols:
             return full
-        return full.restrict_columns(keep)
+        return BitMatrix.from_columns([full.col_words[i] for i in keep], full.rows)
 
     def homology_dim(self, n: int) -> int:
         m_out = self.slice_matrix(n)
@@ -372,7 +376,43 @@ class Subcomplex:
         """Gradings [lo, hi] outside which the slices are full (below) or empty (above)."""
         c = self.parent
         tops = [g.gr - 2 * self.thresholds[k] for k, g in enumerate(c.gens)]
-        return min(tops), max(tops)
+        return min(tops, default=0), max(tops, default=0)
+
+
+class H0Probe:
+    """Tests whether a threshold subcomplex holds a homological generator,
+    a grading-0 cycle that is not a boundary.
+
+    Built once per complex (FormalComplex.h0_probe) and never changed
+    afterwards, so concurrent queries may share it.  z0 is the first
+    reduced-row-echelon kernel vector of d_0 outside the boundaries.
+    """
+
+    def __init__(self, c: FormalComplex):
+        basis0 = c.graded_basis(0)
+        self.width = len(basis0)
+        self._slice = tuple(
+            (el.gen_index, el.upower, col, 1 << i)
+            for i, (el, col) in enumerate(zip(basis0, c.boundary_matrix(0).col_words))
+        )
+        self.boundaries = Span(self.width)
+        self.boundary_basis = tuple(
+            v for v in (BitVec(col, self.width) for col in c.boundary_matrix(1).col_words)
+            if self.boundaries.add(v)
+        )
+        z0 = next(self._generators((col, tag) for _, _, col, tag in self._slice), 0)
+        if not z0:
+            raise ValueError("H_0 vanishes; the complex violates the axioms")
+        self.z0 = BitVec(z0, self.width)
+
+    def _generators(self, columns: Iterable[tuple[int, int]]) -> Iterator[int]:
+        """Cycles among the tagged d_0 columns that are not boundaries."""
+        return (z for z in relations(columns) if self.boundaries.reduce(z))
+
+    def test(self, thresholds: Sequence[int]) -> bool:
+        """True iff the threshold subcomplex holds a cycle outside the boundaries."""
+        kept = ((col, tag) for k, l, col, tag in self._slice if l >= thresholds[k])
+        return next(self._generators(kept), 0) != 0
 
 
 def quadrant_thresholds(c: FormalComplex, a: int, b: int) -> tuple[int, ...]:
@@ -399,11 +439,14 @@ def slanted_halfplane_thresholds(
     c: FormalComplex, t: Fraction, s: Fraction
 ) -> tuple[int, ...]:
     """Thresholds over {(1 - t/2) i + (t/2) j <= s} for rational t in [0,2]."""
-    out = []
-    for g in c.gens:
-        level = (1 - t / 2) * g.alg + (t / 2) * g.alex
-        out.append(math.ceil(level - s))
-    return tuple(out)
+    # With t = p/q and s = a/b the threshold is
+    # ceil((b((2q - p) alg + p alex) - 2qa) / 2qb), in integers.
+    t, s = Fraction(t), Fraction(s)
+    p, q, a, b = t.numerator, t.denominator, s.numerator, s.denominator
+    den = 2 * q * b
+    return tuple(
+        -((2 * q * a - b * ((2 * q - p) * g.alg + p * g.alex)) // den) for g in c.gens
+    )
 
 
 def union_thresholds(*threshold_sets: Sequence[int]) -> tuple[int, ...]:

@@ -1,14 +1,16 @@
 """Exact linear algebra over GF(2) on int-packed bit vectors.
 
 Vectors are immutable wrappers around Python ints (bit i = coordinate i),
-matrices pack each row into one int.  Elimination always picks the lowest
-index pivot first, so ranks, kernels, particular solutions and coset
-enumeration order are reproducible across runs.
+matrices pack each column into one int.  One left-to-right column reducer
+(`relations`) gives ranks, kernels and particular solutions; it keeps the
+first maximal independent set of columns, so kernel bases and solutions
+are those of the reduced row echelon form and reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -72,90 +74,37 @@ class BitVec:
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """GF(2) matrix, one int per row (bit c of row_words[r] = entry (r, c))."""
+    """GF(2) matrix, one int per column (bit r of col_words[c] = entry (r, c))."""
 
     rows: int
     cols: int
-    row_words: tuple[int, ...]
+    col_words: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.row_words) != self.rows:
-            raise ValueError("row count mismatch")
-        mask = (1 << self.cols) - 1
-        if any(w < 0 or w & ~mask for w in self.row_words):
-            raise ValueError("row word out of range")
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "BitMatrix":
-        return BitMatrix(rows, cols, (0,) * rows)
-
-    @staticmethod
-    def identity(n: int) -> "BitMatrix":
-        return BitMatrix(n, n, tuple(1 << i for i in range(n)))
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "BitMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        words = []
-        for row in rows:
-            w = 0
-            for c, v in enumerate(row):
-                if v & 1:
-                    w |= 1 << c
-            words.append(w)
-        return BitMatrix(nrows, ncols, tuple(words))
+        if len(self.col_words) != self.cols:
+            raise ValueError("column count mismatch")
+        if any(w < 0 or w >> self.rows for w in self.col_words):
+            raise ValueError("column word out of range")
 
     @staticmethod
     def from_columns(columns: Sequence[int], rows: int) -> "BitMatrix":
         """Build from column bitmasks (bit r of columns[c] = entry (r, c))."""
-        words = [0] * rows
-        for c, col in enumerate(columns):
-            while col:
-                low = col & -col
-                words[low.bit_length() - 1] |= 1 << c
-                col ^= low
-        return BitMatrix(rows, len(columns), tuple(words))
-
-    def column(self, c: int) -> BitVec:
-        bits = 0
-        for r, w in enumerate(self.row_words):
-            if (w >> c) & 1:
-                bits |= 1 << r
-        return BitVec(bits, self.rows)
-
-    def columns(self) -> list[int]:
-        cols = [0] * self.cols
-        for r, w in enumerate(self.row_words):
-            while w:
-                low = w & -w
-                cols[low.bit_length() - 1] |= 1 << r
-                w ^= low
-        return cols
-
-    def restrict_columns(self, keep: Sequence[int]) -> "BitMatrix":
-        """Submatrix with the listed columns, reindexed in the given order."""
-        words = []
-        for w in self.row_words:
-            nw = 0
-            for new_c, old_c in enumerate(keep):
-                if (w >> old_c) & 1:
-                    nw |= 1 << new_c
-            words.append(nw)
-        return BitMatrix(self.rows, len(keep), tuple(words))
+        return BitMatrix(rows, len(columns), tuple(columns))
 
     def mul_vec(self, x: BitVec) -> BitVec:
         if x.length != self.cols:
             raise ValueError("dimension mismatch")
-        bits = 0
-        for r, w in enumerate(self.row_words):
-            if (w & x.bits).bit_count() & 1:
-                bits |= 1 << r
-        return BitVec(bits, self.rows)
+        out = 0
+        bits = x.bits
+        while bits:
+            low = bits & -bits
+            out ^= self.col_words[low.bit_length() - 1]
+            bits ^= low
+        return BitVec(out, self.rows)
 
 
 class Span:
-    """Incrementally row-reduced span of GF(2) vectors (membership oracle)."""
+    """Incrementally reduced span of GF(2) vectors (membership oracle)."""
 
     def __init__(self, length: int, vectors: Iterable[BitVec] = ()):
         self.length = length
@@ -167,7 +116,8 @@ class Span:
     def dim(self) -> int:
         return len(self._pivots)
 
-    def _reduce(self, bits: int) -> int:
+    def reduce(self, bits: int) -> int:
+        """Remainder of bits modulo the span; 0 iff bits lies in it."""
         while bits:
             low = (bits & -bits).bit_length() - 1
             row = self._pivots.get(low)
@@ -180,7 +130,7 @@ class Span:
         """Add a vector; True if the dimension grew."""
         if v.length != self.length:
             raise ValueError("length mismatch")
-        rem = self._reduce(v.bits)
+        rem = self.reduce(v.bits)
         if rem == 0:
             return False
         self._pivots[(rem & -rem).bit_length() - 1] = rem
@@ -189,36 +139,41 @@ class Span:
     def contains(self, v: BitVec) -> bool:
         if v.length != self.length:
             raise ValueError("length mismatch")
-        return self._reduce(v.bits) == 0
+        return self.reduce(v.bits) == 0
 
 
-def _eliminate(words: list[int], cols: int) -> list[tuple[int, int]]:
-    """In-place RREF; returns (pivot_row, pivot_col) pairs, lowest column first."""
-    pivots = []
-    row = 0
-    for col in range(cols):
-        sel = None
-        for r in range(row, len(words)):
-            if (words[r] >> col) & 1:
-                sel = r
+def relations(columns: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """Left-to-right column elimination that tracks combinations.
+
+    Takes (column, tag) pairs; each tag (usually 1 << column index) is
+    added along with its column.  Pivots are keyed by the lowest set bit of
+    the reduced column, as in Span.reduce.  Yields, in column order, the
+    tag sum of the relation each column has with the earlier ones, for
+    every column that depends on them.  A column's relation involves only
+    itself and earlier pivot columns, so with unit tags these are the
+    reduced-row-echelon kernel vectors, one per free column.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for col, tag in columns:
+        while col:
+            low = (col & -col).bit_length() - 1
+            hit = pivots.get(low)
+            if hit is None:
+                pivots[low] = (col, tag)
                 break
-        if sel is None:
-            continue
-        words[row], words[sel] = words[sel], words[row]
-        for r in range(len(words)):
-            if r != row and (words[r] >> col) & 1:
-                words[r] ^= words[row]
-        pivots.append((row, col))
-        row += 1
-        if row == len(words):
-            break
-    return pivots
+            col ^= hit[0]
+            tag ^= hit[1]
+        else:
+            yield tag
+
+
+def _unit_tagged(m: BitMatrix) -> Iterator[tuple[int, int]]:
+    return ((col, 1 << c) for c, col in enumerate(m.col_words))
 
 
 def rank(m: BitMatrix) -> int:
     """Dimension of the column space (= row space) over GF(2)."""
-    words = list(m.row_words)
-    return len(_eliminate(words, m.cols))
+    return m.cols - sum(1 for _ in relations((col, 0) for col in m.col_words))
 
 
 def solve(m: BitMatrix, b: BitVec) -> Optional[BitVec]:
@@ -229,41 +184,23 @@ def solve(m: BitMatrix, b: BitVec) -> Optional[BitVec]:
     """
     if b.length != m.rows:
         raise ValueError("right-hand side length must equal the row count")
-    aug = [w | (((b.bits >> r) & 1) << m.cols) for r, w in enumerate(m.row_words)]
-    pivots = _eliminate(aug, m.cols)
-    pivot_rows = {r for r, _ in pivots}
-    for r, w in enumerate(aug):
-        if r not in pivot_rows and (w >> m.cols) & 1:
-            return None
-    bits = 0
-    for r, c in pivots:
-        if (aug[r] >> m.cols) & 1:
-            bits |= 1 << c
-    return BitVec(bits, m.cols)
+    last = 1 << m.cols
+    for tag in relations(chain(_unit_tagged(m), ((b.bits, last),))):
+        if tag & last:
+            return BitVec(tag ^ last, m.cols)
+    return None
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVec]:
     """Basis of {x : m·x = 0}, one vector per free column, ascending."""
-    words = list(m.row_words)
-    pivots = _eliminate(words, m.cols)
-    pivot_cols = {c: r for r, c in pivots}
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_cols:
-            continue
-        bits = 1 << free
-        for c, r in pivot_cols.items():
-            if (words[r] >> free) & 1:
-                bits |= 1 << c
-        basis.append(BitVec(bits, m.cols))
-    return basis
+    return [BitVec(tag, m.cols) for tag in relations(_unit_tagged(m))]
 
 
 def column_space_basis(m: BitMatrix) -> list[BitVec]:
     """First maximal independent subset of the columns, in column order."""
     span = Span(m.rows)
     basis = []
-    for col in m.columns():
+    for col in m.col_words:
         v = BitVec(col, m.rows)
         if span.add(v):
             basis.append(v)

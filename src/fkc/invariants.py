@@ -6,7 +6,9 @@ Two computation routes coexist on purpose:
   subcomplex contain a homological generator" by a GF(2) rank test (a
   grading-0 cycle supported in the region that is not a boundary), then
   scan the finitely many candidate regions.  No generator enumeration, so
-  they stay cheap on tensor products.
+  they stay cheap on tensor products.  The test runs on the complex's
+  cached probe (FormalComplex.h0_probe), so every query on one complex
+  shares one elimination of d_0.
 * g0 / g_next / g_tower / hom_generators / upsilon2 enumerate the full
   coset of homological generators (or connecting chains) with a hard cap,
   because the region invariants need the actual chains.
@@ -37,7 +39,6 @@ from .gf2 import (
     BitVec,
     EnumerationLimitError,
     Span,
-    column_space_basis,
     enumerate_coset,
     kernel_basis,
     solve,
@@ -94,54 +95,9 @@ def chain_region(c: FormalComplex, n: int, v: BitVec) -> ClosedRegion:
 # Homological generator machinery
 
 
-class _H0Probe:
-    """Shared state for 'does C_R contain a homological generator' tests."""
-
-    def __init__(self, c: FormalComplex):
-        self.c = c
-        self.basis0 = c.graded_basis(0)
-        self.width = len(self.basis0)
-        self.d0 = c.boundary_matrix(0)
-        self.d1 = c.boundary_matrix(1)
-        self.boundaries = Span(
-            self.width, (BitVec(col, self.width) for col in self.d1.columns())
-        )
-        z0 = None
-        for z in kernel_basis(self.d0):
-            if not self.boundaries.contains(z):
-                z0 = z
-                break
-        if z0 is None:
-            raise ValueError("H_0 vanishes; the complex violates the axioms")
-        self.z0 = z0
-
-    def boundary_basis(self) -> list[BitVec]:
-        return column_space_basis(self.d1)
-
-    def test(self, thresholds: Sequence[int]) -> bool:
-        """True iff the threshold subcomplex holds a cycle outside the boundaries."""
-        t = thresholds
-        keep = [
-            i for i, el in enumerate(self.basis0) if el.upower >= t[el.gen_index]
-        ]
-        if not keep:
-            return False
-        m = self.d0.restrict_columns(keep)
-        for local in kernel_basis(m):
-            bits = 0
-            rem = local.bits
-            while rem:
-                low = rem & -rem
-                bits |= 1 << keep[low.bit_length() - 1]
-                rem ^= low
-            if not self.boundaries.contains(BitVec(bits, self.width)):
-                return True
-        return False
-
-
 def contains_hom_generator(c: FormalComplex, region: ClosedRegion) -> bool:
     """True iff the subcomplex over the region contains a homological generator."""
-    return _H0Probe(c).test(region_thresholds(c, region))
+    return c.h0_probe.test(region_thresholds(c, region))
 
 
 def hom_generators(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[HomGenerator, ...]:
@@ -150,11 +106,10 @@ def hom_generators(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[HomGe
     These are exactly z0 + b for b in the image of the grading-1 boundary,
     so the count is 2^dim(boundaries).
     """
-    probe = _H0Probe(c)
-    basis = probe.boundary_basis()
+    probe = c.h0_probe
     pts, order = _sweep_order(c, 0)
     out = []
-    for v in enumerate_coset(probe.z0, basis, cap):
+    for v in enumerate_coset(probe.z0, probe.boundary_basis, cap):
         out.append(HomGenerator(v, _region_of_bits(v.bits, pts, order)))
     return tuple(out)
 
@@ -165,7 +120,7 @@ def hom_generators(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[HomGe
 
 def nu_plus(c: FormalComplex) -> int:
     """Least m >= 0 such that the quadrant {i <= 0, j <= m} holds a generator."""
-    probe = _H0Probe(c)
+    probe = c.h0_probe
     g = genus(c)
     for m in range(0, g + 1):
         if probe.test(quadrant_thresholds(c, 0, m)):
@@ -177,7 +132,7 @@ def v_k(c: FormalComplex, k: int) -> int:
     """Least m >= 0 such that R_(m, k+m) holds a homological generator."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    probe = _H0Probe(c)
+    probe = c.h0_probe
     g = genus(c)
     for m in range(0, g + 1):
         if probe.test(quadrant_thresholds(c, m, k + m)):
@@ -187,7 +142,7 @@ def v_k(c: FormalComplex, k: int) -> int:
 
 def tau(c: FormalComplex) -> int:
     """Least m with a homological generator in {i <= -1} union R_(0,m)."""
-    probe = _H0Probe(c)
+    probe = c.h0_probe
     g = genus(c)
     for m in range(-g, g + 1):
         if probe.test(tau_region_thresholds(c, m)):
@@ -204,7 +159,7 @@ def upsilon_at(c: FormalComplex, t: Rational) -> Fraction:
     t = Fraction(t)
     if not 0 <= t <= 2:
         raise ValueError("t must lie in [0, 2]")
-    probe = _H0Probe(c)
+    probe = c.h0_probe
     cands = sorted({_line_value(c.support(el), t) for el in c.graded_basis(0)})
     lo, hi = 0, len(cands) - 1
     while lo < hi:
@@ -224,11 +179,10 @@ def upsilon_at(c: FormalComplex, t: Rational) -> Fraction:
 
 def g0(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[ClosedRegion, ...]:
     """Minimal chain regions of the homological generators, canonically sorted."""
-    probe = _H0Probe(c)
-    basis = probe.boundary_basis()
+    probe = c.h0_probe
     pts, order = _sweep_order(c, 0)
     regions = set()
-    for v in enumerate_coset(probe.z0, basis, cap):
+    for v in enumerate_coset(probe.z0, probe.boundary_basis, cap):
         regions.add(_region_of_bits(v.bits, pts, order))
     return minimalize(regions)
 
@@ -237,11 +191,10 @@ def level0_realizers(
     c: FormalComplex, cap: int = DEFAULT_ENUM_CAP
 ) -> dict[ClosedRegion, tuple[BitVec, ...]]:
     """Realizer sets gen_0(C; R) for every R in G0(C)."""
-    probe = _H0Probe(c)
-    basis = probe.boundary_basis()
+    probe = c.h0_probe
     pts, order = _sweep_order(c, 0)
     by_region: dict[ClosedRegion, list[int]] = {}
-    for v in enumerate_coset(probe.z0, basis, cap):
+    for v in enumerate_coset(probe.z0, probe.boundary_basis, cap):
         by_region.setdefault(_region_of_bits(v.bits, pts, order), []).append(v.bits)
     mins = minimalize(by_region)
     width = probe.width
@@ -471,7 +424,7 @@ def upsilon2(
     basis1 = c.graded_basis(1)
     pts1 = [c.support(el) for el in basis1]
     d1 = c.boundary_matrix(1)
-    cols = d1.columns()
+    cols = d1.col_words
 
     span = Span(width0)
     pending = []
@@ -604,4 +557,4 @@ class PLFunction:
 def staircase_slice_has_hom_generator(c: FormalComplex, g: int) -> bool:
     """Does the subcomplex over R^g (union of the staircase quadrants) hold
     a homological generator?"""
-    return _H0Probe(c).test(staircase_region_thresholds(c, g))
+    return c.h0_probe.test(staircase_region_thresholds(c, g))

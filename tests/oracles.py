@@ -190,12 +190,13 @@ def oracle_upsilon2(c, t, s, delta=Fraction(1, 1 << 20)):
     raise AssertionError("families never merge")
 
 
-def dense_rank(rows):
-    """Row-echelon rank of a dense 0/1 matrix given as lists."""
+def dense_rref(rows, cols):
+    """Reduced row echelon form of a dense 0/1 matrix given as lists:
+    (reduced rows, pivot columns in ascending order)."""
     work = [row[:] for row in rows]
-    cols = len(rows[0]) if rows else 0
-    r = 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
         piv = next((i for i in range(r, len(work)) if work[i][c]), None)
         if piv is None:
             continue
@@ -203,8 +204,37 @@ def dense_rank(rows):
         for i in range(len(work)):
             if i != r and work[i][c]:
                 work[i] = [a ^ b for a, b in zip(work[i], work[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return work, pivots
+
+
+def dense_rank(rows):
+    """Row-echelon rank of a dense 0/1 matrix given as lists."""
+    return len(dense_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def dense_kernel(rows, cols):
+    """Kernel basis read off the reduced row echelon form, as bitmasks: one
+    vector per free column, ascending, each the free column plus the pivot
+    columns whose row has a 1 there."""
+    work, pivots = dense_rref(rows, cols)
+    return [
+        (1 << f) | sum(1 << c for r, c in enumerate(pivots) if work[r][f])
+        for f in range(cols) if f not in pivots
+    ]
+
+
+def dense_z0(c):
+    """The first reduced-row-echelon kernel vector of d_0 outside the image
+    of d_1, or None when H_0 vanishes."""
+    d0, d1 = boundary_images(c, 0), boundary_images(c, 1)
+    width = len(d0)
+    rows0 = [[(w >> r) & 1 for w in d0] for r in range(len(slice_basis(c, -1)))]
+    rank1 = _bits_rank(d1, width)
+    for z in dense_kernel(rows0, width):
+        if _bits_rank(d1 + [z], width) > rank1:
+            return z
+    return None
 
 
 # -- validation, check by check ------------------------------------------------

@@ -163,11 +163,20 @@ def test_invariants_empty_file(tmp_path, capsys):
     assert err == "fkc: error: H_0 vanishes; the complex violates the axioms\n"
 
 
+def test_stabilizer_check_empty_file(tmp_path, capsys):
+    # zero generators: the complex is acyclic
+    empty = tmp_path / "empty.fkc"
+    empty.write_text("")
+    code, out, err = run(capsys, "stabilizer-check", str(empty))
+    assert (code, out, err) == (0, "stabilizer = true\n", "")
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [
         (("invariants", "t2_3", "--vk-max", "-1"), "--vk-max"),
         (("gtower", "c3", "--depth", "-1"), "--depth"),
+        (("g0", "t2_3", "--max-enum", "-1"), "--max-enum"),
     ],
 )
 def test_negative_flags_are_usage_errors(data, capsys, argv, flag):

@@ -302,7 +302,7 @@ def test_graded_basis_c2_grading_zero():
 def test_boundary_matrix_unknot_zero():
     u = catalog.unknot()
     for n in (-2, -1, 0, 1, 2):
-        assert all(w == 0 for w in u.boundary_matrix(n).row_words)
+        assert all(w == 0 for w in u.boundary_matrix(n).col_words)
 
 
 def test_boundary_matrix_staircase():
@@ -310,7 +310,7 @@ def test_boundary_matrix_staircase():
     d0 = m.boundary_matrix(0)
     # columns a0, a1 each hit the single row b0
     assert d0.rows == 1 and d0.cols == 2
-    assert d0.row_words == (0b11,)
+    assert d0.col_words == (0b1, 0b1)
 
 
 def test_boundary_matrix_square():
@@ -318,8 +318,8 @@ def test_boundary_matrix_square():
     d1 = sq.boundary_matrix(1)
     # columns: s11 then U^-1 s00; rows: s01, s10
     assert d1.cols == 2 and d1.rows == 2
-    assert d1.column(0).bits == 0b11
-    assert d1.column(1).bits == 0
+    assert d1.col_words[0] == 0b11
+    assert d1.col_words[1] == 0
 
 
 def test_boundary_matrix_matches_dense_oracle():
@@ -327,7 +327,7 @@ def test_boundary_matrix_matches_dense_oracle():
         for n in (0, 1):
             images = oracles.boundary_images(c, n)
             m = c.boundary_matrix(n)
-            assert [m.column(i).bits for i in range(m.cols)] == images
+            assert list(m.col_words) == images
 
 
 # -- region slices ----------------------------------------------------------
@@ -512,8 +512,8 @@ def test_subcomplex_homology_against_dense_rank():
     for n in (-2, -1, 0, 1, 2):
         m_out = sub.slice_matrix(n)
         m_in = sub.slice_matrix(n + 1)
-        rows_out = [[(w >> j) & 1 for j in range(m_out.cols)] for w in m_out.row_words]
-        rows_in = [[(w >> j) & 1 for j in range(m_in.cols)] for w in m_in.row_words]
+        rows_out = [[(w >> i) & 1 for w in m_out.col_words] for i in range(m_out.rows)]
+        rows_in = [[(w >> i) & 1 for w in m_in.col_words] for i in range(m_in.rows)]
         r_out = oracles.dense_rank(rows_out) if m_out.cols else 0
         r_in = oracles.dense_rank(rows_in) if m_in.cols else 0
         assert sub.homology_dim(n) == m_out.cols - r_out - r_in

@@ -13,17 +13,30 @@ from fkc.gf2 import (
     solve,
 )
 
+import oracles
+
 
 def mat(rows):
-    return BitMatrix.from_rows(rows)
+    """The matrix with the given 0/1 rows, built from its column words."""
+    ncols = len(rows[0]) if rows else 0
+    cols = [sum(row[c] << r for r, row in enumerate(rows)) for c in range(ncols)]
+    return BitMatrix.from_columns(cols, len(rows))
+
+
+def identity(n):
+    return BitMatrix.from_columns([1 << i for i in range(n)], n)
+
+
+def zero(rows, cols):
+    return BitMatrix.from_columns([0] * cols, rows)
 
 
 def test_rank_identity():
-    assert rank(BitMatrix.identity(3)) == 3
+    assert rank(identity(3)) == 3
 
 
 def test_rank_zero():
-    assert rank(BitMatrix.zero(2, 5)) == 0
+    assert rank(zero(2, 5)) == 0
 
 
 def test_rank_equal_columns():
@@ -31,13 +44,13 @@ def test_rank_equal_columns():
 
 
 def test_solve_identity():
-    m = BitMatrix.identity(4)
+    m = identity(4)
     b = BitVec.from_indices(4, [0, 2])
     assert solve(m, b) == b
 
 
 def test_solve_zero_inconsistent():
-    assert solve(BitMatrix.zero(3, 3), BitVec.unit(3, 1)) is None
+    assert solve(zero(3, 3), BitVec.unit(3, 1)) is None
 
 
 def test_solve_parity_row():
@@ -50,15 +63,15 @@ def test_solve_parity_row():
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(BitMatrix.identity(2), BitVec.zero(3))
+        solve(identity(2), BitVec.zero(3))
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(BitMatrix.identity(4)) == []
+    assert kernel_basis(identity(4)) == []
 
 
 def test_kernel_zero_full():
-    basis = kernel_basis(BitMatrix.zero(3, 3))
+    basis = kernel_basis(zero(3, 3))
     assert sorted(v.bits for v in basis) == [1, 2, 4]
 
 
@@ -112,7 +125,7 @@ def test_span_membership():
 def matrices(draw):
     rows = draw(st.integers(0, 6))
     cols = draw(st.integers(0, 6))
-    words = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    words = draw(st.lists(st.integers(0, (1 << rows) - 1), min_size=cols, max_size=cols))
     return BitMatrix(rows, cols, tuple(words))
 
 
@@ -141,3 +154,27 @@ def test_coset_count_over_kernel(m):
     basis = kernel_basis(m)
     out = {v.bits for v in enumerate_coset(BitVec.zero(m.cols), basis, cap=1 << 10)}
     assert len(out) == 1 << len(basis)
+
+
+@given(matrices(), st.integers(0, (1 << 6) - 1))
+def test_reducer_matches_dense_rref(m, bbits):
+    rows = [[(w >> r) & 1 for w in m.col_words] for r in range(m.rows)]
+    _, pivots = oracles.dense_rref(rows, m.cols)
+    assert rank(m) == oracles.dense_rank(rows) == len(pivots)
+    # one kernel vector per free column, ascending, supported on that
+    # column plus earlier pivot columns
+    kernel = [v.bits for v in kernel_basis(m)]
+    assert kernel == oracles.dense_kernel(rows, m.cols)
+    free = [c for c in range(m.cols) if c not in pivots]
+    for f, bits in zip(free, kernel):
+        rest = bits ^ (1 << f)
+        assert bits >> f & 1 and rest >> f == 0
+        assert all(c in pivots for c in range(f) if rest >> c & 1)
+    # particular solutions live on the pivot columns
+    b = BitVec(bbits & ((1 << m.rows) - 1), m.rows)
+    augmented = [row + [b.get(r)] for r, row in enumerate(rows)]
+    sol = solve(m, b)
+    assert (sol is None) == (oracles.dense_rank(augmented) > len(pivots))
+    if sol is not None:
+        assert m.mul_vec(sol) == b
+        assert all(c in pivots for c in sol.support())

@@ -1,9 +1,12 @@
+import sys
+import threading
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from fkc import catalog
-from fkc.complexes import dual, tensor
+from fkc import catalog, complexes
+from fkc.complexes import FormalComplex, dual, genus, tensor
 from fkc.gf2 import EnumerationLimitError
 from fkc.invariants import (
     INFINITY,
@@ -91,6 +94,72 @@ def test_hom_generator_regions_match_oracle():
         for v in oracles.hom_generator_bits(c)
     )
     assert ours == theirs
+
+
+# -- the shared H_0 probe ------------------------------------------------------
+
+
+def test_probe_z0_matches_dense_rref(atoms):
+    pool = list(atoms.values())
+    pool += [tensor(a, b) for a, b in combinations_with_replacement(pool, 2)]
+    for c in pool:
+        assert c.h0_probe.z0.bits == oracles.dense_z0(c), c.name
+
+
+def _probe_queries(c):
+    ts = (Fraction(1, 3), Fraction(1), Fraction(7, 5))
+    return (nu_plus(c), tau(c), [v_k(c, k) for k in range(genus(c) + 1)],
+            [upsilon_at(c, t) for t in ts])
+
+
+def test_probe_reduces_full_d0_once(monkeypatch):
+    c = tensor(catalog.cn(3), catalog.torus_staircase(2, mirror=True))
+    full_d0 = list(c.boundary_matrix(0).col_words)
+    reductions = []
+    original = complexes.relations
+
+    def counting(columns):
+        columns = list(columns)
+        reductions.append([col for col, _ in columns] == full_d0)
+        return original(columns)
+
+    monkeypatch.setattr(complexes, "relations", counting)
+    _probe_queries(c)
+    hom_generators(c)
+    g0(c)
+    level0_realizers(c)
+    assert reductions.count(True) == 1 and len(reductions) > 1
+
+
+def test_probe_stays_read_only():
+    c = tensor(catalog.cn(2), catalog.torus_staircase(1, mirror=False))
+    probe = c.h0_probe
+    state = dict(vars(probe))
+    pivots = dict(probe.boundaries._pivots)
+    _probe_queries(c)
+    assert c.h0_probe is probe
+    assert vars(probe) == state and probe.boundaries._pivots == pivots
+
+
+def test_probe_shared_across_threads():
+    c = tensor(catalog.cn(3), catalog.torus_staircase(2, mirror=True))
+    want = _probe_queries(FormalComplex(c.name, c.gens, c.d_cols))
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda: results.append(_probe_queries(c)))
+            for _ in range(8)
+        ]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [want] * 8
 
 
 # -- nu+ ----------------------------------------------------------------------
