@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import islice, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .gf2 import BitMatrix, BitVec, Span, rank, relations
+from .gf2 import BitMatrix, Span, rank, relations, set_bits
 from .region import ClosedRegion, Point
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
@@ -76,8 +76,7 @@ class FormalComplex:
         return len(self.gens)
 
     def boundary_targets(self, k: int) -> tuple[int, ...]:
-        col = self.d_cols[k]
-        return tuple(l for l in range(len(self.gens)) if (col >> l) & 1)
+        return tuple(set_bits(self.d_cols[k]))
 
     def u_power(self, l: int, k: int) -> int:
         """U-exponent forced on the x_l term of the boundary of x_k."""
@@ -105,16 +104,9 @@ class FormalComplex:
         pos.update({("o", k): i for i, k in enumerate(odd)})
 
         def build(cols_idx, rows_idx, tag):
-            columns = []
-            for k in cols_idx:
-                bits = 0
-                col = self.d_cols[k]
-                while col:
-                    low = col & -col
-                    l = low.bit_length() - 1
-                    bits |= 1 << pos[(tag, l)]
-                    col ^= low
-                columns.append(bits)
+            columns = [
+                sum(1 << pos[(tag, l)] for l in set_bits(self.d_cols[k])) for k in cols_idx
+            ]
             return BitMatrix.from_columns(columns, len(rows_idx))
 
         # differential from even-graded slices lands in odd-graded ones
@@ -252,9 +244,10 @@ def tensor(a: FormalComplex, b: FormalComplex) -> FormalComplex:
             )
     cols = []
     for k in range(len(a.gens)):
+        left = a.boundary_targets(k)
         for l in range(s):
             bits = 0
-            for ka in a.boundary_targets(k):
+            for ka in left:
                 bits ^= 1 << (ka * s + l)
             for lb in b.boundary_targets(l):
                 bits ^= 1 << (k * s + lb)
@@ -268,10 +261,8 @@ def dual(c: FormalComplex) -> FormalComplex:
     gens = tuple(Generator(g.name + "'", -g.gr, -g.alg, -g.alex) for g in c.gens)
     cols = [0] * len(c.gens)
     for k, col in enumerate(c.d_cols):
-        while col:
-            low = col & -col
-            cols[low.bit_length() - 1] |= 1 << k
-            col ^= low
+        for l in set_bits(col):
+            cols[l] |= 1 << k
     name = f"{c.name}_dual" if c.name else ""
     return FormalComplex(name, gens, tuple(cols))
 
@@ -389,21 +380,17 @@ class H0Probe:
     """
 
     def __init__(self, c: FormalComplex):
-        basis0 = c.graded_basis(0)
-        self.width = len(basis0)
         self._slice = tuple(
             (el.gen_index, el.upower, col, 1 << i)
-            for i, (el, col) in enumerate(zip(basis0, c.boundary_matrix(0).col_words))
+            for i, (el, col) in enumerate(zip(c.graded_basis(0), c.boundary_matrix(0).col_words))
         )
-        self.boundaries = Span(self.width)
+        self.boundaries = Span()
         self.boundary_basis = tuple(
-            v for v in (BitVec(col, self.width) for col in c.boundary_matrix(1).col_words)
-            if self.boundaries.add(v)
+            col for col in c.boundary_matrix(1).col_words if self.boundaries.add(col)
         )
-        z0 = next(self._generators((col, tag) for _, _, col, tag in self._slice), 0)
-        if not z0:
+        self.z0 = next(self._generators((col, tag) for _, _, col, tag in self._slice), 0)
+        if not self.z0:
             raise ValueError("H_0 vanishes; the complex violates the axioms")
-        self.z0 = BitVec(z0, self.width)
 
     def _generators(self, columns: Iterable[tuple[int, int]]) -> Iterator[int]:
         """Cycles among the tagged d_0 columns that are not boundaries."""

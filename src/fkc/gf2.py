@@ -1,10 +1,12 @@
 """Exact linear algebra over GF(2) on int-packed bit vectors.
 
-Vectors are immutable wrappers around Python ints (bit i = coordinate i),
-matrices pack each column into one int.  One left-to-right column reducer
-(`relations`) gives ranks, kernels and particular solutions; it keeps the
-first maximal independent set of columns, so kernel bases and solutions
-are those of the reduced row echelon form and reproducible across runs.
+Inside the package a vector is a plain int (bit i = coordinate i) and a
+matrix packs each column into one int.  BitVec, which adds the length, is
+built only where a vector leaves the library, in the results of the
+invariants.  One left-to-right column reducer (`relations`) gives ranks,
+kernels and particular solutions; it keeps the first maximal independent
+set of columns, so kernel bases and solutions are those of the reduced
+row echelon form and reproducible across runs.
 """
 
 from __future__ import annotations
@@ -26,9 +28,17 @@ class EnumerationLimitError(RuntimeError):
         self.cap = cap
 
 
+def set_bits(bits: int) -> Iterator[int]:
+    """Indices of the set bits of a non-negative int, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 @dataclass(frozen=True)
 class BitVec:
-    """GF(2) vector of fixed length; addition is bitwise XOR."""
+    """GF(2) vector of fixed length, as returned in results."""
 
     bits: int
     length: int
@@ -37,39 +47,11 @@ class BitVec:
         if self.length < 0 or self.bits < 0 or self.bits >> self.length:
             raise ValueError("bits do not fit the declared length")
 
-    @staticmethod
-    def zero(length: int) -> "BitVec":
-        return BitVec(0, length)
-
-    @staticmethod
-    def unit(length: int, index: int) -> "BitVec":
-        return BitVec(1 << index, length)
-
-    @staticmethod
-    def from_indices(length: int, indices: Iterable[int]) -> "BitVec":
-        bits = 0
-        for i in indices:
-            bits |= 1 << i
-        return BitVec(bits, length)
-
-    def __add__(self, other: "BitVec") -> "BitVec":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVec(self.bits ^ other.bits, self.length)
-
-    __xor__ = __add__
-
-    def get(self, index: int) -> int:
-        return (self.bits >> index) & 1
-
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
+        return tuple(set_bits(self.bits))
 
     def weight(self) -> int:
         return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
 
 @dataclass(frozen=True)
@@ -91,23 +73,19 @@ class BitMatrix:
         """Build from column bitmasks (bit r of columns[c] = entry (r, c))."""
         return BitMatrix(rows, len(columns), tuple(columns))
 
-    def mul_vec(self, x: BitVec) -> BitVec:
-        if x.length != self.cols:
+    def mul_vec(self, x: int) -> int:
+        if x < 0 or x >> self.cols:
             raise ValueError("dimension mismatch")
         out = 0
-        bits = x.bits
-        while bits:
-            low = bits & -bits
-            out ^= self.col_words[low.bit_length() - 1]
-            bits ^= low
-        return BitVec(out, self.rows)
+        for c in set_bits(x):
+            out ^= self.col_words[c]
+        return out
 
 
 class Span:
     """Incrementally reduced span of GF(2) vectors (membership oracle)."""
 
-    def __init__(self, length: int, vectors: Iterable[BitVec] = ()):
-        self.length = length
+    def __init__(self, vectors: Iterable[int] = ()):
         self._pivots: dict[int, int] = {}
         for v in vectors:
             self.add(v)
@@ -126,20 +104,16 @@ class Span:
             bits ^= row
         return 0
 
-    def add(self, v: BitVec) -> bool:
+    def add(self, v: int) -> bool:
         """Add a vector; True if the dimension grew."""
-        if v.length != self.length:
-            raise ValueError("length mismatch")
-        rem = self.reduce(v.bits)
+        rem = self.reduce(v)
         if rem == 0:
             return False
         self._pivots[(rem & -rem).bit_length() - 1] = rem
         return True
 
-    def contains(self, v: BitVec) -> bool:
-        if v.length != self.length:
-            raise ValueError("length mismatch")
-        return self.reduce(v.bits) == 0
+    def contains(self, v: int) -> bool:
+        return self.reduce(v) == 0
 
 
 def relations(columns: Iterable[tuple[int, int]]) -> Iterator[int]:
@@ -176,38 +150,33 @@ def rank(m: BitMatrix) -> int:
     return m.cols - sum(1 for _ in relations((col, 0) for col in m.col_words))
 
 
-def solve(m: BitMatrix, b: BitVec) -> Optional[BitVec]:
+def solve(m: BitMatrix, b: int) -> Optional[int]:
     """Some x with m·x = b, or None if b is outside the column space.
 
     Free variables are set to zero, so the particular solution is unique
     for a given matrix.
     """
-    if b.length != m.rows:
-        raise ValueError("right-hand side length must equal the row count")
+    if b < 0 or b >> m.rows:
+        raise ValueError("right-hand side must fit the row count")
     last = 1 << m.cols
-    for tag in relations(chain(_unit_tagged(m), ((b.bits, last),))):
+    for tag in relations(chain(_unit_tagged(m), ((b, last),))):
         if tag & last:
-            return BitVec(tag ^ last, m.cols)
+            return tag ^ last
     return None
 
 
-def kernel_basis(m: BitMatrix) -> list[BitVec]:
+def kernel_basis(m: BitMatrix) -> list[int]:
     """Basis of {x : m·x = 0}, one vector per free column, ascending."""
-    return [BitVec(tag, m.cols) for tag in relations(_unit_tagged(m))]
+    return list(relations(_unit_tagged(m)))
 
 
-def column_space_basis(m: BitMatrix) -> list[BitVec]:
+def column_space_basis(m: BitMatrix) -> list[int]:
     """First maximal independent subset of the columns, in column order."""
-    span = Span(m.rows)
-    basis = []
-    for col in m.col_words:
-        v = BitVec(col, m.rows)
-        if span.add(v):
-            basis.append(v)
-    return basis
+    span = Span()
+    return [col for col in m.col_words if span.add(col)]
 
 
-def enumerate_coset(x0: BitVec, basis: Sequence[BitVec], cap: int) -> Iterator[BitVec]:
+def enumerate_coset(x0: int, basis: Sequence[int], cap: int) -> Iterator[int]:
     """Yield all 2^len(basis) vectors of x0 + span(basis), each exactly once.
 
     Gray-code order: consecutive vectors differ by one basis element.
@@ -215,19 +184,11 @@ def enumerate_coset(x0: BitVec, basis: Sequence[BitVec], cap: int) -> Iterator[B
     coset is larger than cap.  Callers must ensure basis independence for
     the "exactly once" guarantee.
     """
-    for v in basis:
-        if v.length != x0.length:
-            raise ValueError("length mismatch")
-    k = len(basis)
-    required = 1 << k
+    required = 1 << len(basis)
     if required > cap:
         raise EnumerationLimitError(required, cap)
-    bits = x0.bits
-    yield BitVec(bits, x0.length)
-    prev_gray = 0
+    bits = x0
+    yield bits
     for i in range(1, required):
-        gray = i ^ (i >> 1)
-        flip = (gray ^ prev_gray).bit_length() - 1
-        prev_gray = gray
-        bits ^= basis[flip].bits
-        yield BitVec(bits, x0.length)
+        bits ^= basis[(i & -i).bit_length() - 1]
+        yield bits

@@ -41,6 +41,7 @@ from .gf2 import (
     Span,
     enumerate_coset,
     kernel_basis,
+    set_bits,
     solve,
 )
 from .region import ClosedRegion, Point, minimalize
@@ -85,10 +86,19 @@ def _region_of_bits(bits: int, pts: list[Point], order: list[int]) -> ClosedRegi
     return ClosedRegion(tuple(corners))
 
 
-def chain_region(c: FormalComplex, n: int, v: BitVec) -> ClosedRegion:
-    """Smallest closed region whose subcomplex contains the grading-n chain."""
+def _minimal_realizers(
+    c: FormalComplex, n: int, chains: Iterable[int]
+) -> dict[ClosedRegion, tuple[BitVec, ...]]:
+    """Group distinct grading-n chains by region: each subset-minimal
+    region with its realizers, ascending."""
     pts, order = _sweep_order(c, n)
-    return _region_of_bits(v.bits, pts, order)
+    by_region: dict[ClosedRegion, list[int]] = {}
+    for bits in chains:
+        by_region.setdefault(_region_of_bits(bits, pts, order), []).append(bits)
+    return {
+        r: tuple(BitVec(b, len(pts)) for b in sorted(by_region[r]))
+        for r in minimalize(by_region)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +118,10 @@ def hom_generators(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[HomGe
     """
     probe = c.h0_probe
     pts, order = _sweep_order(c, 0)
-    out = []
-    for v in enumerate_coset(probe.z0, probe.boundary_basis, cap):
-        out.append(HomGenerator(v, _region_of_bits(v.bits, pts, order)))
-    return tuple(out)
+    return tuple(
+        HomGenerator(BitVec(v, len(pts)), _region_of_bits(v, pts, order))
+        for v in enumerate_coset(probe.z0, probe.boundary_basis, cap)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -179,28 +189,15 @@ def upsilon_at(c: FormalComplex, t: Rational) -> Fraction:
 
 def g0(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[ClosedRegion, ...]:
     """Minimal chain regions of the homological generators, canonically sorted."""
-    probe = c.h0_probe
-    pts, order = _sweep_order(c, 0)
-    regions = set()
-    for v in enumerate_coset(probe.z0, probe.boundary_basis, cap):
-        regions.add(_region_of_bits(v.bits, pts, order))
-    return minimalize(regions)
+    return tuple(level0_realizers(c, cap))
 
 
 def level0_realizers(
     c: FormalComplex, cap: int = DEFAULT_ENUM_CAP
 ) -> dict[ClosedRegion, tuple[BitVec, ...]]:
-    """Realizer sets gen_0(C; R) for every R in G0(C)."""
+    """Realizer sets gen_0(C; R) for every R in G0(C), in G0 order."""
     probe = c.h0_probe
-    pts, order = _sweep_order(c, 0)
-    by_region: dict[ClosedRegion, list[int]] = {}
-    for v in enumerate_coset(probe.z0, probe.boundary_basis, cap):
-        by_region.setdefault(_region_of_bits(v.bits, pts, order), []).append(v.bits)
-    mins = minimalize(by_region)
-    width = probe.width
-    return {
-        r: tuple(BitVec(b, width) for b in sorted(by_region[r])) for r in mins
-    }
+    return _minimal_realizers(c, 0, enumerate_coset(probe.z0, probe.boundary_basis, cap))
 
 
 def g_next(
@@ -230,7 +227,7 @@ def g_next(
     def by_boundary(chains: Sequence[BitVec]) -> dict[int, list[int]]:
         groups: dict[int, list[int]] = {}
         for z in chains:
-            groups.setdefault(d_prev.mul_vec(z).bits, []).append(z.bits)
+            groups.setdefault(d_prev.mul_vec(z.bits), []).append(z.bits)
         return groups
 
     groups1 = by_boundary(realizers[r1])
@@ -247,19 +244,10 @@ def g_next(
     total = len(rhs) << len(kernel)
     if total > cap:
         raise EnumerationLimitError(total, cap)
-    pts, order = _sweep_order(c, level)
-    width = len(c.graded_basis(level))
-    by_region: dict[ClosedRegion, set[int]] = {}
-    for b in sorted(rhs):
-        x0 = solve(d_here, BitVec(b, d_here.rows))
-        if x0 is None:
-            continue
-        for x in enumerate_coset(x0, kernel, cap):
-            by_region.setdefault(_region_of_bits(x.bits, pts, order), set()).add(x.bits)
-    mins = minimalize(by_region)
-    return mins, {
-        r: tuple(BitVec(b, width) for b in sorted(by_region[r])) for r in mins
-    }
+    solutions = (solve(d_here, b) for b in sorted(rhs))
+    chains = (x for x0 in solutions if x0 is not None for x in enumerate_coset(x0, kernel, cap))
+    found = _minimal_realizers(c, level, chains)
+    return tuple(found), found
 
 
 @dataclass(frozen=True)
@@ -397,56 +385,46 @@ def upsilon2(
         raise ValueError("t must lie strictly between 0 and 2")
     if not 0 <= s <= 2:
         raise ValueError("s must lie in [0, 2]")
-    gens = hom_generators(c, cap)
+    probe = c.h0_probe
     pts0 = [c.support(el) for el in c.graded_basis(0)]
-
-    def slope(p: Point) -> Fraction:
-        return Fraction(p.j - p.i, 2)
-
+    # (value on the t-line, support slope) of each grading-0 point
+    marks = [(_line_value(p, t), Fraction(p.j - p.i, 2)) for p in pts0]
     stats = []
-    for hg in gens:
-        vals = [(_line_value(pts0[i], t), slope(pts0[i])) for i in hg.vector.support()]
-        fz = max(v for v, _ in vals)
-        active = [sl for v, sl in vals if v == fz]
-        stats.append((hg, fz, max(active), min(active)))
+    for v in enumerate_coset(probe.z0, probe.boundary_basis, cap):
+        vals = [marks[i] for i in set_bits(v)]
+        fz, steepest = max(vals)
+        stats.append((v, fz, steepest, min(sl for val, sl in vals if val == fz)))
     v_min = min(fz for _, fz, _, _ in stats)
     at_min = [entry for entry in stats if entry[1] == v_min]
     right_slope = min(entry[2] for entry in at_min)
     left_slope = max(entry[3] for entry in at_min)
-    z_plus = [entry[0] for entry in at_min if entry[2] == right_slope]
+    z_plus = {entry[0] for entry in at_min if entry[2] == right_slope}
     z_minus = [entry[0] for entry in at_min if entry[3] == left_slope]
-    plus_bits = {hg.vector.bits for hg in z_plus}
-    if any(hg.vector.bits in plus_bits for hg in z_minus):
+    if any(v in z_plus for v in z_minus):
         return INFINITY
 
-    width0 = len(pts0)
-    sums = sorted({a.vector.bits ^ b.vector.bits for a in z_minus for b in z_plus})
-    basis1 = c.graded_basis(1)
-    pts1 = [c.support(el) for el in basis1]
-    d1 = c.boundary_matrix(1)
-    cols = d1.col_words
-
-    span = Span(width0)
+    sums = sorted({a ^ b for a in z_minus for b in z_plus})
+    pts1 = [c.support(el) for el in c.graded_basis(1)]
+    cols = c.boundary_matrix(1).col_words
+    span = Span()
     pending = []
-    for i, p in enumerate(pts1):
+    for p, col in zip(pts1, cols):
         if _line_value(p, t) <= v_min:
-            span.add(BitVec(cols[i], width0))
+            span.add(col)
         else:
-            pending.append(i)
-    if any(span.contains(BitVec(b, width0)) for b in sums):
+            pending.append((_line_value(p, s), col))
+    if any(span.contains(b) for b in sums):
         raise AssertionError(
             "connecting chain lies in the t-halfplane alone; upsilon^2 would be -infinity"
         )
-    pending.sort(key=lambda i: _line_value(pts1[i], s))
-    cands = sorted(
-        {_line_value(p, s) for p in pts1} | {_line_value(p, s) for p in pts0}
-    )
+    pending.sort()
+    cands = sorted({_line_value(p, s) for p in pts1 + pts0})
     idx = 0
     for r in cands:
-        while idx < len(pending) and _line_value(pts1[pending[idx]], s) <= r:
-            span.add(BitVec(cols[pending[idx]], width0))
+        while idx < len(pending) and pending[idx][0] <= r:
+            span.add(pending[idx][1])
             idx += 1
-        if any(span.contains(BitVec(b, width0)) for b in sums):
+        if any(span.contains(b) for b in sums):
             return -2 * (r - v_min)
     raise AssertionError("families never merge; H_0 classes must agree in the full complex")
 

@@ -47,9 +47,6 @@ class ClosedRegion:
     def contains_point(self, p: Point) -> bool:
         return any(p.leq(c) for c in self.corners)
 
-    def issubset(self, other: "ClosedRegion") -> bool:
-        return subset(self, other)
-
     def render(self) -> str:
         return "{" + ",".join(str(c) for c in self.corners) + "}"
 

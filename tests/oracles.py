@@ -109,6 +109,51 @@ def oracle_g0(c):
     return minimal_regions(regions)
 
 
+def oracle_g_next(c, realizer_bits, pair, level):
+    """One tower step by exhaustive search over grading-`level` chains.
+
+    realizer_bits maps the previous level's regions (corner tuples) to
+    their realizers.  A chain qualifies when its boundary is z1 + z2 for
+    realizers z1, z2 of the pair's two regions that have equal boundaries
+    (at level 1 they are cycles).  Returns the minimal regions, sorted, and
+    {region: realizers ascending}.
+    """
+    prev = boundary_images(c, level - 1)
+    here = boundary_images(c, level)
+    r1, r2 = pair
+    targets = {
+        z1 ^ z2
+        for z1 in realizer_bits[r1]
+        for z2 in realizer_bits[r2]
+        if chain_boundary(prev, z1) == chain_boundary(prev, z2)
+    }
+    by_region = {}
+    for x in all_chains(len(here)):
+        if chain_boundary(here, x) in targets:
+            by_region.setdefault(tuple(maximal_points(support_of(c, level, x))), []).append(x)
+    mins = minimal_regions(by_region)
+    return mins, {r: sorted(by_region[r]) for r in mins}
+
+
+def oracle_tensor_cols(a, b):
+    """Boundary columns of a (x) b as the Kronecker sum d_a (x) 1 + 1 (x) d_b
+    of dense 0/1 matrices; generator (k, l) has index k * len(b.gens) + l."""
+
+    def dense(c):  # entry [l][k] = 1 iff x_l occurs in the boundary of x_k
+        return [[(col >> l) & 1 for col in c.d_cols] for l in range(len(c.gens))]
+
+    def eye(n):
+        return [[int(r == k) for k in range(n)] for r in range(n)]
+
+    def kron(x, y):
+        return [[p * q for p in xr for q in yr] for xr in x for yr in y]
+
+    left = kron(dense(a), eye(len(b.gens)))
+    right = kron(eye(len(a.gens)), dense(b))
+    n = len(left)
+    return [sum((left[r][k] ^ right[r][k]) << r for r in range(n)) for k in range(n)]
+
+
 def oracle_nu_plus(c):
     best = None
     for v in hom_generator_bits(c):

@@ -426,6 +426,11 @@ def structural_complexes(draw):
     return FormalComplex(name, tuple(gens), tuple(cols))
 
 
+@given(structural_complexes(), structural_complexes())
+def test_tensor_columns_match_kronecker_oracle(a, b):
+    assert list(tensor(a, b).d_cols) == oracles.oracle_tensor_cols(a, b)
+
+
 @given(structural_complexes())
 def test_random_complexes_round_trip(c):
     assert parse(serialize(c)) == c

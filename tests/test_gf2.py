@@ -3,7 +3,6 @@ import pytest
 
 from fkc.gf2 import (
     BitMatrix,
-    BitVec,
     EnumerationLimitError,
     Span,
     column_space_basis,
@@ -45,25 +44,31 @@ def test_rank_equal_columns():
 
 def test_solve_identity():
     m = identity(4)
-    b = BitVec.from_indices(4, [0, 2])
+    b = 0b0101
     assert solve(m, b) == b
 
 
 def test_solve_zero_inconsistent():
-    assert solve(zero(3, 3), BitVec.unit(3, 1)) is None
+    assert solve(zero(3, 3), 0b010) is None
 
 
 def test_solve_parity_row():
     m = mat([[1, 1]])
-    b = BitVec.zero(1)
+    b = 0
     x = solve(m, b)
-    assert x is not None and x.bits in (0b00, 0b11)
+    assert x is not None and x in (0b00, 0b11)
     assert m.mul_vec(x) == b
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(identity(2), BitVec.zero(3))
+        solve(identity(2), 0b100)
+
+
+def test_mul_vec_dimension_mismatch():
+    assert identity(2).mul_vec(0b11) == 0b11
+    with pytest.raises(ValueError):
+        identity(2).mul_vec(0b100)
 
 
 def test_kernel_identity_empty():
@@ -72,35 +77,35 @@ def test_kernel_identity_empty():
 
 def test_kernel_zero_full():
     basis = kernel_basis(zero(3, 3))
-    assert sorted(v.bits for v in basis) == [1, 2, 4]
+    assert sorted(basis) == [1, 2, 4]
 
 
 def test_kernel_parity():
     basis = kernel_basis(mat([[1, 1]]))
-    assert [v.bits for v in basis] == [0b11]
+    assert basis == [0b11]
 
 
 def test_enumerate_coset_empty_basis():
-    x0 = BitVec.from_indices(3, [1])
+    x0 = 0b010
     assert list(enumerate_coset(x0, [], cap=16)) == [x0]
 
 
 def test_enumerate_coset_single():
-    out = {v.bits for v in enumerate_coset(BitVec.zero(2), [BitVec.unit(2, 0)], cap=16)}
+    out = set(enumerate_coset(0, [0b01], cap=16))
     assert out == {0b00, 0b01}
 
 
 def test_enumerate_coset_pairwise_distinct():
-    basis = [BitVec.unit(3, 1), BitVec.unit(3, 2)]
-    out = [v.bits for v in enumerate_coset(BitVec.unit(3, 0), basis, cap=16)]
+    basis = [0b010, 0b100]
+    out = list(enumerate_coset(0b001, basis, cap=16))
     assert len(out) == 4 and len(set(out)) == 4
     assert all(v & 1 for v in out)
 
 
 def test_enumerate_coset_cap():
-    basis = [BitVec.unit(5, i) for i in range(5)]
+    basis = [1 << i for i in range(5)]
     with pytest.raises(EnumerationLimitError) as exc:
-        list(enumerate_coset(BitVec.zero(5), basis, cap=16))
+        list(enumerate_coset(0, basis, cap=16))
     assert exc.value.required == 32
     assert "32" in str(exc.value)
 
@@ -108,16 +113,16 @@ def test_enumerate_coset_cap():
 def test_column_space_basis_keeps_first_independent():
     m = mat([[1, 1, 0], [0, 0, 1]])
     basis = column_space_basis(m)
-    assert [v.bits for v in basis] == [0b01, 0b10]
+    assert basis == [0b01, 0b10]
 
 
 def test_span_membership():
-    sp = Span(3, [BitVec.from_indices(3, [0, 1])])
-    assert sp.contains(BitVec.zero(3))
-    assert sp.contains(BitVec.from_indices(3, [0, 1]))
-    assert not sp.contains(BitVec.unit(3, 0))
-    assert sp.add(BitVec.unit(3, 0))
-    assert sp.contains(BitVec.unit(3, 1))
+    sp = Span([0b011])
+    assert sp.contains(0)
+    assert sp.contains(0b011)
+    assert not sp.contains(0b001)
+    assert sp.add(0b001)
+    assert sp.contains(0b010)
     assert sp.dim == 2
 
 
@@ -136,7 +141,7 @@ def test_rank_nullity(m):
 
 @given(matrices(), st.integers(0, (1 << 6) - 1))
 def test_solve_reverifies(m, xbits):
-    x = BitVec(xbits & ((1 << m.cols) - 1), m.cols)
+    x = xbits & ((1 << m.cols) - 1)
     b = m.mul_vec(x)
     sol = solve(m, b)
     assert sol is not None
@@ -146,13 +151,13 @@ def test_solve_reverifies(m, xbits):
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
     for v in kernel_basis(m):
-        assert m.mul_vec(v).is_zero()
+        assert m.mul_vec(v) == 0
 
 
 @given(matrices())
 def test_coset_count_over_kernel(m):
     basis = kernel_basis(m)
-    out = {v.bits for v in enumerate_coset(BitVec.zero(m.cols), basis, cap=1 << 10)}
+    out = set(enumerate_coset(0, basis, cap=1 << 10))
     assert len(out) == 1 << len(basis)
 
 
@@ -163,7 +168,7 @@ def test_reducer_matches_dense_rref(m, bbits):
     assert rank(m) == oracles.dense_rank(rows) == len(pivots)
     # one kernel vector per free column, ascending, supported on that
     # column plus earlier pivot columns
-    kernel = [v.bits for v in kernel_basis(m)]
+    kernel = kernel_basis(m)
     assert kernel == oracles.dense_kernel(rows, m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
     for f, bits in zip(free, kernel):
@@ -171,10 +176,10 @@ def test_reducer_matches_dense_rref(m, bbits):
         assert bits >> f & 1 and rest >> f == 0
         assert all(c in pivots for c in range(f) if rest >> c & 1)
     # particular solutions live on the pivot columns
-    b = BitVec(bbits & ((1 << m.rows) - 1), m.rows)
-    augmented = [row + [b.get(r)] for r, row in enumerate(rows)]
+    b = bbits & ((1 << m.rows) - 1)
+    augmented = [row + [b >> r & 1] for r, row in enumerate(rows)]
     sol = solve(m, b)
     assert (sol is None) == (oracles.dense_rank(augmented) > len(pivots))
     if sol is not None:
         assert m.mul_vec(sol) == b
-        assert all(c in pivots for c in sol.support())
+        assert all(c in pivots for c in range(m.cols) if sol >> c & 1)

@@ -103,7 +103,7 @@ def test_probe_z0_matches_dense_rref(atoms):
     pool = list(atoms.values())
     pool += [tensor(a, b) for a, b in combinations_with_replacement(pool, 2)]
     for c in pool:
-        assert c.h0_probe.z0.bits == oracles.dense_z0(c), c.name
+        assert c.h0_probe.z0 == oracles.dense_z0(c), c.name
 
 
 def _probe_queries(c):
@@ -317,10 +317,22 @@ def test_upsilon2_trefoil():
     assert upsilon2(t23, 1, 1) == -1
 
 
-def test_upsilon2_matches_oracle():
-    t23 = catalog.torus_staircase(1, False)
-    for (t, s) in ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1, 2))):
-        assert upsilon2(t23, t, s) == oracles.oracle_upsilon2(t23, t, s)
+def test_upsilon2_matches_oracle(atoms):
+    # the oracle scans 2^|grading-1 slice| chains per candidate line, so
+    # only tensors with small slices are compared
+    pool = list(atoms.values())
+    pool += [tensor(a, b) for a, b in combinations_with_replacement(pool, 2)]
+    cases = finite = 0
+    for c in pool:
+        if len(c.graded_basis(1)) > 10:
+            continue
+        for t, s in ((1, 1), (1, Fraction(1, 2)), (Fraction(2, 3), Fraction(3, 2)),
+                     (Fraction(4, 3), 0)):
+            want = oracles.oracle_upsilon2(c, t, s)
+            assert upsilon2(c, t, s) == (INFINITY if want is None else want), (c.name, t, s)
+            cases += 1
+            finite += want is not None
+    assert cases >= 150 and finite >= 40
     # the connecting chains of c2 sit on the line value 3/2, one step
     # further out than the trefoil's, so upsilon^2 drops to -2
     c2 = catalog.cn(2)
@@ -412,6 +424,35 @@ def test_g_next_cn_intermediate_levels(n):
         assert regions == (quadrant(k, k + 1), quadrant(k + 1, k))
     regions, _ = g_next(c, reals, (regions[0], regions[1]), n)
     assert regions == (quadrant(n, n),)
+
+
+def _realizer_bits(by_region):
+    return {region_key(r): [v.bits for v in vs] for r, vs in by_region.items()}
+
+
+def test_g_next_matches_oracle(atoms):
+    # levels 1-3, each step pairing the first two regions of the previous
+    # level; from level 2 on the oracle is fed its own previous level
+    pool = [atoms[name] for name in ("c2", "c3", "c4", "t2_5")]
+    pool += [tensor(a, b) for a, b in combinations_with_replacement(atoms.values(), 2)]
+    steps = 0
+    for c in pool:
+        if any(1 << len(c.graded_basis(n)) > oracles.MAX_EXHAUSTIVE for n in (0, 1)):
+            continue
+        ours = level0_realizers(c)
+        theirs = _realizer_bits(ours)
+        for level in (1, 2, 3):
+            if len(ours) < 2:
+                break
+            r1, r2 = list(ours)[:2]
+            regions, ours = g_next(c, ours, (r1, r2), level)
+            want, theirs = oracles.oracle_g_next(
+                c, theirs, (region_key(r1), region_key(r2)), level
+            )
+            assert [region_key(r) for r in regions] == want, (c.name, level)
+            assert _realizer_bits(ours) == theirs, (c.name, level)
+            steps += 1
+    assert steps >= 50
 
 
 def test_g_tower_unknot_stops_immediately():
