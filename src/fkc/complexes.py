@@ -128,10 +128,6 @@ class FormalComplex:
         return len(basis) - rank(self.boundary_matrix(n)) - rank(self.boundary_matrix(n + 1))
 
     @cached_property
-    def support_points(self) -> tuple[Point, ...]:
-        return tuple(Point(g.alg, g.alex) for g in self.gens)
-
-    @cached_property
     def h0_probe(self) -> "H0Probe":
         """The homological-generator probe, built once per complex."""
         return H0Probe(self)

@@ -94,6 +94,11 @@ class Span:
     def dim(self) -> int:
         return len(self._pivots)
 
+    @property
+    def basis(self) -> tuple[int, ...]:
+        """Independent reduced vectors spanning the space, one per pivot."""
+        return tuple(self._pivots.values())
+
     def reduce(self, bits: int) -> int:
         """Remainder of bits modulo the span; 0 iff bits lies in it."""
         while bits:
@@ -168,12 +173,6 @@ def solve(m: BitMatrix, b: int) -> Optional[int]:
 def kernel_basis(m: BitMatrix) -> list[int]:
     """Basis of {x : m·x = 0}, one vector per free column, ascending."""
     return list(relations(_unit_tagged(m)))
-
-
-def column_space_basis(m: BitMatrix) -> list[int]:
-    """First maximal independent subset of the columns, in column order."""
-    span = Span()
-    return [col for col in m.col_words if span.add(col)]
 
 
 def enumerate_coset(x0: int, basis: Sequence[int], cap: int) -> Iterator[int]:

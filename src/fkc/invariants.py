@@ -11,7 +11,12 @@ Two computation routes coexist on purpose:
   shares one elimination of d_0.
 * g0 / g_next / g_tower / hom_generators / upsilon2 enumerate the full
   coset of homological generators (or connecting chains) with a hard cap,
-  because the region invariants need the actual chains.
+  because the region invariants need the actual chains.  Each chain is
+  keyed by the corners of its region and the keys are minimalized, so the
+  work after the enumeration grows linearly with the number of chains.
+  Realizer sets are affine spaces, so g_next pairs two of them by linear
+  algebra (the admissible pair sums and their preimage are one coset each)
+  instead of forming every realizer pair.
 
 The *_from_g0 functions evaluate the same invariants from a G0 region set
 alone; the test suite checks all routes against each other.
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .complexes import (
     FormalComplex,
@@ -30,7 +35,6 @@ from .complexes import (
     quadrant_thresholds,
     region_thresholds,
     slanted_halfplane_thresholds,
-    staircase_region_thresholds,
     tau_region_thresholds,
     tensor,
     dual,
@@ -40,9 +44,8 @@ from .gf2 import (
     EnumerationLimitError,
     Span,
     enumerate_coset,
-    kernel_basis,
+    relations,
     set_bits,
-    solve,
 )
 from .region import ClosedRegion, Point, minimalize
 
@@ -65,39 +68,79 @@ class HomGenerator:
 # Support sweeps: region of a chain
 
 
-def _sweep_order(c: FormalComplex, n: int) -> tuple[list[Point], list[int]]:
-    """Support points of the grading-n basis and an index order for the
-    maximal-point sweep (i descending, j descending)."""
-    pts = [c.support(el) for el in c.graded_basis(n)]
-    order = sorted(range(len(pts)), key=lambda i: (-pts[i].i, -pts[i].j))
-    return pts, order
+class _Sweep:
+    """Regions of the grading-n chains of a complex.
 
+    Chains of a coset are enumerated with a copy of their bits, permuted
+    into sweep order (support points by i descending, then j descending),
+    above bit `width`.  The first set bit of the copy is a corner of the
+    chain's region; clearing the points it dominates leaves the next one,
+    so each chain is keyed by its corners in one step per corner.  A corner
+    is named by the first sweep position with its support point (basis
+    elements can share one), so keys and regions correspond one to one.
+    """
 
-def _region_of_bits(bits: int, pts: list[Point], order: list[int]) -> ClosedRegion:
-    corners = []
-    best_j = None
-    for i in order:
-        if (bits >> i) & 1:
-            p = pts[i]
-            if best_j is None or p.j > best_j:
-                corners.append(p)
-                best_j = p.j
-    corners.reverse()
-    return ClosedRegion(tuple(corners))
+    def __init__(self, c: FormalComplex, n: int):
+        pts = [c.support(el) for el in c.graded_basis(n)]
+        self.width = len(pts)
+        order = sorted(range(self.width), key=lambda k: (-pts[k].i, -pts[k].j))
+        self._points = [pts[k] for k in order]
+        self._position = {k: p for p, k in enumerate(order)}
+        first: dict[Point, int] = {}
+        self._name = [first.setdefault(pt, p) for p, pt in enumerate(self._points)]
+        # The positions after p with a larger j than p's point: every other
+        # later point has i and j at most p's, so p dominates it.
+        with_j: dict[int, int] = {}
+        for p, pt in enumerate(self._points):
+            with_j[pt.j] = with_j.get(pt.j, 0) | 1 << p
+        higher, acc = {}, 0
+        for j in sorted(with_j, reverse=True):
+            higher[j] = acc
+            acc |= with_j[j]
+        self._undominated = [
+            higher[pt.j] >> (p + 1) << (p + 1) for p, pt in enumerate(self._points)
+        ]
+        self._regions: dict[tuple[int, ...], ClosedRegion] = {}
+
+    def _doubled(self, v: int) -> int:
+        return v | sum(1 << (self.width + self._position[k]) for k in set_bits(v))
+
+    def keyed_chains(
+        self, x0: int, basis: Sequence[int], cap: int
+    ) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(chain, corner key) for each chain of x0 + span(basis), in
+        enumerate_coset order."""
+        mask = (1 << self.width) - 1
+        undominated, name = self._undominated, self._name
+        for w in enumerate_coset(self._doubled(x0), [self._doubled(b) for b in basis], cap):
+            key = []
+            rest = w >> self.width
+            while rest:
+                p = (rest & -rest).bit_length() - 1
+                key.append(name[p])
+                rest &= undominated[p]
+            yield w & mask, tuple(key)
+
+    def region(self, key: tuple[int, ...]) -> ClosedRegion:
+        r = self._regions.get(key)
+        if r is None:
+            r = self._regions[key] = ClosedRegion(tuple(map(self._points.__getitem__, key[::-1])))
+        return r
 
 
 def _minimal_realizers(
-    c: FormalComplex, n: int, chains: Iterable[int]
+    c: FormalComplex, n: int, x0: int, basis: Sequence[int], cap: int
 ) -> dict[ClosedRegion, tuple[BitVec, ...]]:
-    """Group distinct grading-n chains by region: each subset-minimal
-    region with its realizers, ascending."""
-    pts, order = _sweep_order(c, n)
-    by_region: dict[ClosedRegion, list[int]] = {}
-    for bits in chains:
-        by_region.setdefault(_region_of_bits(bits, pts, order), []).append(bits)
+    """Group the grading-n chains of x0 + span(basis) by region: each
+    subset-minimal region with its realizers, ascending."""
+    sweep = _Sweep(c, n)
+    by_key: dict[tuple[int, ...], list[int]] = {}
+    for bits, key in sweep.keyed_chains(x0, basis, cap):
+        by_key.setdefault(key, []).append(bits)
+    key_of = {sweep.region(key): key for key in by_key}
     return {
-        r: tuple(BitVec(b, len(pts)) for b in sorted(by_region[r]))
-        for r in minimalize(by_region)
+        r: tuple(BitVec(b, sweep.width) for b in sorted(by_key[key_of[r]]))
+        for r in minimalize(key_of)
     }
 
 
@@ -117,10 +160,10 @@ def hom_generators(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[HomGe
     so the count is 2^dim(boundaries).
     """
     probe = c.h0_probe
-    pts, order = _sweep_order(c, 0)
+    sweep = _Sweep(c, 0)
     return tuple(
-        HomGenerator(BitVec(v, len(pts)), _region_of_bits(v, pts, order))
-        for v in enumerate_coset(probe.z0, probe.boundary_basis, cap)
+        HomGenerator(BitVec(v, sweep.width), sweep.region(key))
+        for v, key in sweep.keyed_chains(probe.z0, probe.boundary_basis, cap)
     )
 
 
@@ -197,7 +240,31 @@ def level0_realizers(
 ) -> dict[ClosedRegion, tuple[BitVec, ...]]:
     """Realizer sets gen_0(C; R) for every R in G0(C), in G0 order."""
     probe = c.h0_probe
-    return _minimal_realizers(c, 0, enumerate_coset(probe.z0, probe.boundary_basis, cap))
+    return _minimal_realizers(c, 0, probe.z0, probe.boundary_basis, cap)
+
+
+def _affine_hull(chains: Sequence[BitVec]) -> tuple[int, list[int]]:
+    """(x, basis of L) with the chains equal to x + span(L); ValueError if
+    they are not an affine space.
+
+    Take the basis b_0 < b_1 < ... of L in reduced echelon form by leading
+    bit, and x the least element.  Sorted ascending, x + span(L) then has
+    x + sum(b_j for the set bits j of i) at position i, so the elements at
+    positions 2^j give the b_j, and the set is affine iff it equals the
+    coset they generate.
+    """
+    bits = sorted({z.bits for z in chains})
+    dim = len(bits).bit_length() - 1
+    if not bits or len(bits) != 1 << dim:
+        raise ValueError("a realizer set must be an affine space x + span(L)")
+    x = bits[0]
+    basis = [bits[1 << j] ^ x for j in range(dim)]
+    hull = [x]
+    for b in basis:
+        hull += [v ^ b for v in hull]
+    if sorted(hull) != bits:
+        raise ValueError("a realizer set must be an affine space x + span(L)")
+    return x, basis
 
 
 def g_next(
@@ -215,6 +282,12 @@ def g_next(
     level 1 the realizers are cycles, so the constraint is vacuous).
     Returns the minimalized region set, which may be empty for n >= 2,
     together with all realizers of each surviving region.
+
+    Precondition: each chosen region's realizer set is an affine space
+    x + span(L), as every realizer set this function and level0_realizers
+    return is; ValueError otherwise.  The admissible sums z1 + z2 are then
+    the cycles of x1 + x2 + span(L1 u L2), again an affine space, and the
+    solutions are its preimage, enumerated as one coset.
     """
     r1, r2 = pair
     if r1 == r2:
@@ -223,30 +296,44 @@ def g_next(
         raise ValueError("chosen regions must come from the previous level")
     d_here = c.boundary_matrix(level)
     d_prev = c.boundary_matrix(level - 1)
+    x1, dirs1 = _affine_hull(realizers[r1])
+    x2, dirs2 = _affine_hull(realizers[r2])
 
-    def by_boundary(chains: Sequence[BitVec]) -> dict[int, list[int]]:
-        groups: dict[int, list[int]] = {}
-        for z in chains:
-            groups.setdefault(d_prev.mul_vec(z.bits), []).append(z.bits)
-        return groups
+    # The cycles y0 + span(rhs_dirs) of x1 + x2 + span(L1 u L2): the tags
+    # of the relations among the boundaries of its point and directions.
+    y = x1 ^ x2
+    mark = 1 << d_prev.cols
+    columns = [(d_prev.mul_vec(v), v) for v in Span(dirs1 + dirs2).basis]
+    y0, rhs_dirs = None, []
+    for tag in relations(columns + [(d_prev.mul_vec(y), y | mark)]):
+        if tag & mark:
+            y0 = tag ^ mark
+        else:
+            rhs_dirs.append(tag)
+    if y0 is None:
+        return (), {}
 
-    groups1 = by_boundary(realizers[r1])
-    groups2 = by_boundary(realizers[r2])
-    rhs = set()
-    for bd, bucket1 in groups1.items():
-        bucket2 = groups2.get(bd)
-        if not bucket2:
-            continue
-        for b1 in bucket1:
-            for b2 in bucket2:
-                rhs.add(b1 ^ b2)
-    kernel = kernel_basis(d_here)
-    total = len(rhs) << len(kernel)
+    # Its preimage x0 + span(kernel + lifts) under d_here: relations of
+    # [d_here | rhs_dirs | y0], with the rhs columns tagged above the chains.
+    width = d_here.cols
+    chain_mask = (1 << width) - 1
+    top = 1 << (width + len(rhs_dirs))
+    columns = [(col, 1 << k) for k, col in enumerate(d_here.col_words)]
+    columns += [(v, 1 << (width + k)) for k, v in enumerate(rhs_dirs)]
+    x0, kernel, lifts = None, [], []
+    for tag in relations(columns + [(y0, top)]):
+        if tag & top:
+            x0 = tag & chain_mask
+        elif tag >> width:
+            lifts.append(tag & chain_mask)
+        else:
+            kernel.append(tag)
+    total = (1 << len(rhs_dirs)) << len(kernel)
     if total > cap:
         raise EnumerationLimitError(total, cap)
-    solutions = (solve(d_here, b) for b in sorted(rhs))
-    chains = (x for x0 in solutions if x0 is not None for x in enumerate_coset(x0, kernel, cap))
-    found = _minimal_realizers(c, level, chains)
+    if x0 is None:
+        return (), {}
+    found = _minimal_realizers(c, level, x0, kernel + lifts, cap)
     return tuple(found), found
 
 
@@ -519,20 +606,9 @@ class PLFunction:
     def __neg__(self) -> "PLFunction":
         return PLFunction(tuple((t, -v) for t, v in self.breakpoints))
 
-    def scale(self, factor: Rational) -> "PLFunction":
-        factor = Fraction(factor)
-        if factor == 0:
-            return PLFunction(((Fraction(0), Fraction(0)), (Fraction(2), Fraction(0))))
-        return PLFunction(tuple((t, factor * v) for t, v in self.breakpoints))
-
     def render(self) -> str:
         return " ".join(f"({t},{v})" for t, v in self.breakpoints)
 
     def __str__(self) -> str:
         return self.render()
 
-
-def staircase_slice_has_hom_generator(c: FormalComplex, g: int) -> bool:
-    """Does the subcomplex over R^g (union of the staircase quadrants) hold
-    a homological generator?"""
-    return c.h0_probe.test(staircase_region_thresholds(c, g))

@@ -4,13 +4,18 @@ Everything here is deliberately naive and self-contained: dense list
 linear algebra, exhaustive enumeration of chains, pairwise-domination
 region computations, and explicit small-delta one-sided values.  None of
 it shares code paths with the package beyond reading the raw generator
-data of a complex.
+data of a complex, except the test-only helpers at the end, which are
+built on the package's own primitives.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+# used only by the test-only helpers at the end
+from fkc.complexes import staircase_region_thresholds
+from fkc.gf2 import Span
 
 MAX_EXHAUSTIVE = 1 << 20
 
@@ -400,3 +405,19 @@ def oracle_validate(c):
                     break
         checks.append((name, not detail, detail))
     return checks
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers on the package's primitives (not independent oracles)
+
+
+def column_space_basis(m):
+    """First maximal independent subset of the columns, in column order."""
+    span = Span()
+    return [col for col in m.col_words if span.add(col)]
+
+
+def staircase_slice_has_hom_generator(c, g):
+    """Does the subcomplex over R^g (union of the staircase quadrants) hold
+    a homological generator?"""
+    return c.h0_probe.test(staircase_region_thresholds(c, g))

@@ -5,7 +5,6 @@ from fkc.gf2 import (
     BitMatrix,
     EnumerationLimitError,
     Span,
-    column_space_basis,
     enumerate_coset,
     kernel_basis,
     rank,
@@ -13,6 +12,7 @@ from fkc.gf2 import (
 )
 
 import oracles
+from oracles import column_space_basis
 
 
 def mat(rows):

@@ -7,7 +7,7 @@ import pytest
 
 from fkc import catalog, complexes
 from fkc.complexes import FormalComplex, dual, genus, tensor
-from fkc.gf2 import EnumerationLimitError
+from fkc.gf2 import BitVec, EnumerationLimitError
 from fkc.invariants import (
     INFINITY,
     PLFunction,
@@ -430,6 +430,27 @@ def _realizer_bits(by_region):
     return {region_key(r): [v.bits for v in vs] for r, vs in by_region.items()}
 
 
+def test_level0_realizers_match_oracle(atoms):
+    # Tensor products have generators with equal support points, so several
+    # corner choices give one region; none of its realizers may be lost.
+    # 29 of the 51 complexes checked (grading-0/1 slices of at most 14
+    # elements) have such points.
+    pool = list(atoms.values())
+    pool += [tensor(a, b) for a, b in combinations_with_replacement(atoms.values(), 2)]
+    checked = 0
+    for c in pool:
+        if any(len(c.graded_basis(n)) > 14 for n in (0, 1)):
+            continue
+        by_region = {}
+        for v in oracles.hom_generator_bits(c):
+            corners = tuple(oracles.maximal_points(oracles.support_of(c, 0, v)))
+            by_region.setdefault(corners, []).append(v)
+        want = {r: sorted(by_region[r]) for r in oracles.minimal_regions(by_region)}
+        assert _realizer_bits(level0_realizers(c)) == want, c.name
+        checked += 1
+    assert checked >= 50
+
+
 def test_g_next_matches_oracle(atoms):
     # levels 1-3, each step pairing the first two regions of the previous
     # level; from level 2 on the oracle is fed its own previous level
@@ -512,6 +533,30 @@ def test_g_next_keeps_all_realizers():
     regions3, reals3 = g_next(c3, reals2, (regions2[0], regions2[1]), 3)
     assert regions3 == (quadrant(3, 3),)
     assert len(reals3[quadrant(3, 3)]) == 4
+
+
+def test_g_next_rejects_non_affine_realizers():
+    # g_next requires each realizer set to be an affine space x + span(L)
+    c3 = catalog.cn(3)
+    regions, reals = g_next(
+        c3, level0_realizers(c3), (quadrant(0, 1), quadrant(1, 0)), 1
+    )
+    regions2, reals2 = g_next(c3, reals, (regions[0], regions[1]), 2)
+    r = regions2[0]
+    dropped = dict(reals2)
+    dropped[r] = reals2[r][1:]
+    with pytest.raises(ValueError, match="affine"):
+        g_next(c3, dropped, (regions2[0], regions2[1]), 3)
+    # four chains that are not a coset: replace one by a chain outside the hull
+    z = reals2[r]
+    outside = next(
+        BitVec(b, z[0].length) for b in range(1 << z[0].length)
+        if b not in {v.bits for v in z} and b != z[0].bits ^ z[1].bits ^ z[2].bits
+    )
+    swapped = dict(reals2)
+    swapped[r] = z[:3] + (outside,)
+    with pytest.raises(ValueError, match="affine"):
+        g_next(c3, swapped, (regions2[0], regions2[1]), 3)
 
 
 def test_g_next_arbitrary_branch_choices():
@@ -679,6 +724,22 @@ def test_g0_respects_cap():
     with pytest.raises(EnumerationLimitError) as exc:
         g0(t23, cap=1)
     assert exc.value.required == 2
+
+
+def test_g_next_cap_counts_pair_sums_times_kernel():
+    # required = (number of admissible pair sums) << dim ker d_n: 256 at
+    # level 7 of c8, where 128 chains are enumerated
+    c8 = catalog.cn(8)
+    tower = g_tower(c8, 12)
+    step = tower.levels[7]
+    with pytest.raises(EnumerationLimitError) as exc:
+        g_next(c8, tower.levels[6].realizers, step.chosen_pair, 7, cap=255)
+    assert exc.value.required == 256
+    assert g_next(c8, tower.levels[6].realizers, step.chosen_pair, 7, cap=256)[0] == step.regions
+    for cap, required in ((255, 256), (127, 128), (63, 64), (15, 16)):
+        with pytest.raises(EnumerationLimitError) as exc:
+            g_tower(c8, 12, cap=cap)
+        assert exc.value.required == required
 
 
 def test_hom_generators_respect_cap():

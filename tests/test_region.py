@@ -1,6 +1,8 @@
 from hypothesis import given, strategies as st
 import pytest
 
+from fkc import catalog, region
+from fkc.invariants import g0, hom_generators
 from fkc.region import (
     ClosedRegion,
     Point,
@@ -11,6 +13,8 @@ from fkc.region import (
     subset,
     transpose,
 )
+
+import oracles
 
 
 def test_closure_drops_dominated():
@@ -133,6 +137,27 @@ def test_minimalize_output_antichain_and_covering(rs):
                 assert not subset(a, b)
     for r in rs:
         assert any(subset(m, r) for m in out)
+
+
+@given(st.lists(regions, max_size=20))
+def test_minimalize_matches_pairwise_oracle(rs):
+    # with duplicates, and unions that contain two of the drawn regions
+    rs = rs + rs[::2] + [closure(a.corners + b.corners) for a, b in zip(rs, rs[1:])]
+    want = oracles.minimal_regions([[(p.i, p.j) for p in r.corners] for r in rs])
+    assert [tuple((p.i, p.j) for p in r.corners) for r in minimalize(rs)] == want
+
+
+def test_minimalize_compares_only_with_kept_regions(monkeypatch):
+    # each input is compared only with the regions kept before it, so a
+    # call makes at most inputs x kept subset tests (g0(t2_21): 1,024
+    # distinct regions, 11 minimal; comparing all pairs makes about 10^6)
+    c = catalog.torus_staircase(10, False)
+    inputs = len({h.region for h in hom_generators(c)})
+    calls = []
+    real_subset = region.subset
+    monkeypatch.setattr(region, "subset", lambda r, s: calls.append(1) or real_subset(r, s))
+    kept = len(g0(c))
+    assert 0 < len(calls) <= inputs * kept
 
 
 @given(regions)
