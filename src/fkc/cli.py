@@ -296,8 +296,5 @@ def main(argv=None) -> int:
         return 3
 
 
-run = main
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -9,14 +9,14 @@ Two computation routes coexist on purpose:
   they stay cheap on tensor products.  The test runs on the complex's
   cached probe (FormalComplex.h0_probe), so every query on one complex
   shares one elimination of d_0.
-* g0 / g_next / g_tower / hom_generators / upsilon2 enumerate the full
-  coset of homological generators (or connecting chains) with a hard cap,
-  because the region invariants need the actual chains.  Each chain is
-  keyed by the corners of its region and the keys are minimalized, so the
-  work after the enumeration grows linearly with the number of chains.
-  Realizer sets are affine spaces, so g_next pairs two of them by linear
-  algebra (the admissible pair sums and their preimage are one coset each)
-  instead of forming every realizer pair.
+* g0 / g_next / g_tower / hom_generators / upsilon2 enumerate a coset of
+  chains (the homological generators, or a tower level's preimages)
+  through one sweep whose hard cap is the only cap check, because the
+  region invariants need the actual chains.  Each chain is keyed by the corners
+  of its region, so the work after the enumeration grows linearly with
+  the number of chains.  The realizer sets of g_next and the one-sided
+  families of upsilon2 are affine spaces x + L, so pairs of them are
+  handled by linear algebra instead of forming every pair.
 
 The *_from_g0 functions evaluate the same invariants from a G0 region set
 alone; the test suite checks all routes against each other.
@@ -41,7 +41,6 @@ from .complexes import (
 )
 from .gf2 import (
     BitVec,
-    EnumerationLimitError,
     Span,
     enumerate_coset,
     relations,
@@ -84,21 +83,21 @@ class _Sweep:
         pts = [c.support(el) for el in c.graded_basis(n)]
         self.width = len(pts)
         order = sorted(range(self.width), key=lambda k: (-pts[k].i, -pts[k].j))
-        self._points = [pts[k] for k in order]
+        self.points = [pts[k] for k in order]
         self._position = {k: p for p, k in enumerate(order)}
         first: dict[Point, int] = {}
-        self._name = [first.setdefault(pt, p) for p, pt in enumerate(self._points)]
+        self._name = [first.setdefault(pt, p) for p, pt in enumerate(self.points)]
         # The positions after p with a larger j than p's point: every other
         # later point has i and j at most p's, so p dominates it.
         with_j: dict[int, int] = {}
-        for p, pt in enumerate(self._points):
+        for p, pt in enumerate(self.points):
             with_j[pt.j] = with_j.get(pt.j, 0) | 1 << p
         higher, acc = {}, 0
         for j in sorted(with_j, reverse=True):
             higher[j] = acc
             acc |= with_j[j]
         self._undominated = [
-            higher[pt.j] >> (p + 1) << (p + 1) for p, pt in enumerate(self._points)
+            higher[pt.j] >> (p + 1) << (p + 1) for p, pt in enumerate(self.points)
         ]
         self._regions: dict[tuple[int, ...], ClosedRegion] = {}
 
@@ -109,7 +108,7 @@ class _Sweep:
         self, x0: int, basis: Sequence[int], cap: int
     ) -> Iterator[tuple[int, tuple[int, ...]]]:
         """(chain, corner key) for each chain of x0 + span(basis), in
-        enumerate_coset order."""
+        Gray-code order; EnumerationLimitError beyond cap chains."""
         mask = (1 << self.width) - 1
         undominated, name = self._undominated, self._name
         for w in enumerate_coset(self._doubled(x0), [self._doubled(b) for b in basis], cap):
@@ -121,10 +120,17 @@ class _Sweep:
                 rest &= undominated[p]
             yield w & mask, tuple(key)
 
+    def grouped(self, x0: int, basis: Sequence[int], cap: int) -> dict[tuple[int, ...], list[int]]:
+        """The chains of x0 + span(basis) grouped by corner key."""
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for bits, key in self.keyed_chains(x0, basis, cap):
+            groups.setdefault(key, []).append(bits)
+        return groups
+
     def region(self, key: tuple[int, ...]) -> ClosedRegion:
         r = self._regions.get(key)
         if r is None:
-            r = self._regions[key] = ClosedRegion(tuple(map(self._points.__getitem__, key[::-1])))
+            r = self._regions[key] = ClosedRegion(tuple(map(self.points.__getitem__, key[::-1])))
         return r
 
 
@@ -134,9 +140,7 @@ def _minimal_realizers(
     """Group the grading-n chains of x0 + span(basis) by region: each
     subset-minimal region with its realizers, ascending."""
     sweep = _Sweep(c, n)
-    by_key: dict[tuple[int, ...], list[int]] = {}
-    for bits, key in sweep.keyed_chains(x0, basis, cap):
-        by_key.setdefault(key, []).append(bits)
+    by_key = sweep.grouped(x0, basis, cap)
     key_of = {sweep.region(key): key for key in by_key}
     return {
         r: tuple(BitVec(b, sweep.width) for b in sorted(by_key[key_of[r]]))
@@ -328,9 +332,6 @@ def g_next(
             lifts.append(tag & chain_mask)
         else:
             kernel.append(tag)
-    total = (1 << len(rhs_dirs)) << len(kernel)
-    if total > cap:
-        raise EnumerationLimitError(total, cap)
     if x0 is None:
         return (), {}
     found = _minimal_realizers(c, level, x0, kernel + lifts, cap)
@@ -460,60 +461,59 @@ def upsilon2(
     """The secondary invariant at (t, s); infinity when the one-sided
     Upsilon-minimizing generator families overlap.
 
-    The one-sided families are computed lexicographically: among the
-    generators attaining upsilon(t), the right family minimizes the
-    maximal active support slope (the right derivative), the left family
-    maximizes the minimal active slope (the left derivative).  The exact
-    one-sided derivatives stand in for a small positive offset of t.
+    Among the generators attaining upsilon(t), the right family z+
+    minimizes the steepest active support slope (the right derivative) and
+    the left family z- maximizes the shallowest (the left derivative); the
+    exact one-sided derivatives stand in for a small offset of t.  For
+    0 < t < 2 the t-line value rises in i and in j, so the active points
+    are corners and each corner key is scored once.  Each family is
+    z0 + im d_1 cut down to a coordinate set, an affine space x + L, so a
+    connecting chain exists iff x+ + x- lies in the span of L+, L- and the
+    allowed grading-1 boundaries.  ValueError if upsilon^2 would be
+    -infinity, which the axioms rule out.
     """
-    t = Fraction(t)
-    s = Fraction(s)
+    t, s = Fraction(t), Fraction(s)
     if not 0 < t < 2:
         raise ValueError("t must lie strictly between 0 and 2")
     if not 0 <= s <= 2:
         raise ValueError("s must lie in [0, 2]")
-    probe = c.h0_probe
-    pts0 = [c.support(el) for el in c.graded_basis(0)]
-    # (value on the t-line, support slope) of each grading-0 point
-    marks = [(_line_value(p, t), Fraction(p.j - p.i, 2)) for p in pts0]
-    stats = []
-    for v in enumerate_coset(probe.z0, probe.boundary_basis, cap):
-        vals = [marks[i] for i in set_bits(v)]
+    sweep = _Sweep(c, 0)
+    groups = sweep.grouped(c.h0_probe.z0, c.h0_probe.boundary_basis, cap)
+    # (t-line value, support slope) per sweep position, times 2 * t.denominator and 2
+    a, b = t.numerator, t.denominator
+    marks = [((2 * b - a) * p.i + a * p.j, p.j - p.i) for p in sweep.points]
+    # z+ minimizes (value, steepest active slope), z- (value, -shallowest)
+    stats = {}
+    for key in groups:
+        vals = [marks[p] for p in key]
         fz, steepest = max(vals)
-        stats.append((v, fz, steepest, min(sl for val, sl in vals if val == fz)))
-    v_min = min(fz for _, fz, _, _ in stats)
-    at_min = [entry for entry in stats if entry[1] == v_min]
-    right_slope = min(entry[2] for entry in at_min)
-    left_slope = max(entry[3] for entry in at_min)
-    z_plus = {entry[0] for entry in at_min if entry[2] == right_slope}
-    z_minus = [entry[0] for entry in at_min if entry[3] == left_slope]
-    if any(v in z_plus for v in z_minus):
+        stats[key] = (fz, steepest), (fz, -min(sl for val, sl in vals if val == fz))
+    right, left = (min(st[side] for st in stats.values()) for side in (0, 1))
+    z_plus = {key for key, st in stats.items() if st[0] == right}
+    z_minus = {key for key, st in stats.items() if st[1] == left}
+    if z_plus & z_minus:
         return INFINITY
+    v_min = Fraction(right[0], 2 * b)
 
-    sums = sorted({a ^ b for a in z_minus for b in z_plus})
+    # span(L+ u L-) and the boundaries of the grading-1 points in the t-halfplane
+    plus, minus = ([v for key in family for v in groups[key]] for family in (z_plus, z_minus))
+    span = Span([v ^ plus[0] for v in plus] + [v ^ minus[0] for v in minus])
+    target = plus[0] ^ minus[0]
     pts1 = [c.support(el) for el in c.graded_basis(1)]
-    cols = c.boundary_matrix(1).col_words
-    span = Span()
     pending = []
-    for p, col in zip(pts1, cols):
+    for p, col in zip(pts1, c.boundary_matrix(1).col_words):
         if _line_value(p, t) <= v_min:
             span.add(col)
         else:
             pending.append((_line_value(p, s), col))
-    if any(span.contains(b) for b in sums):
-        raise AssertionError(
-            "connecting chain lies in the t-halfplane alone; upsilon^2 would be -infinity"
-        )
-    pending.sort()
-    cands = sorted({_line_value(p, s) for p in pts1 + pts0})
-    idx = 0
-    for r in cands:
-        while idx < len(pending) and pending[idx][0] <= r:
-            span.add(pending[idx][1])
-            idx += 1
-        if any(span.contains(b) for b in sums):
+    if span.contains(target):
+        raise ValueError("upsilon^2 would be -infinity; the complex violates the axioms")
+    # the span changes only when a column joins, so r is a column's s-value
+    for r, col in sorted(pending):
+        span.add(col)
+        if span.contains(target):
             return -2 * (r - v_min)
-    raise AssertionError("families never merge; H_0 classes must agree in the full complex")
+    raise AssertionError("unreachable: x+ + x- lies in im d_1, and every d_1 column is in the span")
 
 
 # ---------------------------------------------------------------------------

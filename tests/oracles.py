@@ -4,18 +4,21 @@ Everything here is deliberately naive and self-contained: dense list
 linear algebra, exhaustive enumeration of chains, pairwise-domination
 region computations, and explicit small-delta one-sided values.  None of
 it shares code paths with the package beyond reading the raw generator
-data of a complex, except the test-only helpers at the end, which are
-built on the package's own primitives.
+data of a complex, except the test-only helpers and the enumerative
+Upsilon^2 referee at the end, which are built on the package's own
+primitives.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Union
 
-# used only by the test-only helpers at the end
-from fkc.complexes import staircase_region_thresholds
-from fkc.gf2 import Span
+# used only by the test-only helpers and the referee at the end
+from fkc.complexes import FormalComplex, staircase_region_thresholds
+from fkc.gf2 import Span, enumerate_coset, set_bits
+from fkc.invariants import DEFAULT_ENUM_CAP, INFINITY, Rational, _line_value
 
 MAX_EXHAUSTIVE = 1 << 20
 
@@ -421,3 +424,70 @@ def staircase_slice_has_hom_generator(c, g):
     """Does the subcomplex over R^g (union of the staircase quadrants) hold
     a homological generator?"""
     return c.h0_probe.test(staircase_region_thresholds(c, g))
+
+
+# ---------------------------------------------------------------------------
+# The enumerative Upsilon^2 route: every generator of z0 + im d_1 is scored,
+# and each connecting candidate tests every pair sum of the two families.
+
+
+def oracle_upsilon2_enum(
+    c: FormalComplex, t: Rational, s: Rational, cap: int = DEFAULT_ENUM_CAP
+) -> Union[Fraction, float]:
+    """The secondary invariant at (t, s); infinity when the one-sided
+    Upsilon-minimizing generator families overlap.
+
+    The one-sided families are computed lexicographically: among the
+    generators attaining upsilon(t), the right family minimizes the
+    maximal active support slope (the right derivative), the left family
+    maximizes the minimal active slope (the left derivative).  The exact
+    one-sided derivatives stand in for a small positive offset of t.
+    """
+    t = Fraction(t)
+    s = Fraction(s)
+    if not 0 < t < 2:
+        raise ValueError("t must lie strictly between 0 and 2")
+    if not 0 <= s <= 2:
+        raise ValueError("s must lie in [0, 2]")
+    probe = c.h0_probe
+    pts0 = [c.support(el) for el in c.graded_basis(0)]
+    # (value on the t-line, support slope) of each grading-0 point
+    marks = [(_line_value(p, t), Fraction(p.j - p.i, 2)) for p in pts0]
+    stats = []
+    for v in enumerate_coset(probe.z0, probe.boundary_basis, cap):
+        vals = [marks[i] for i in set_bits(v)]
+        fz, steepest = max(vals)
+        stats.append((v, fz, steepest, min(sl for val, sl in vals if val == fz)))
+    v_min = min(fz for _, fz, _, _ in stats)
+    at_min = [entry for entry in stats if entry[1] == v_min]
+    right_slope = min(entry[2] for entry in at_min)
+    left_slope = max(entry[3] for entry in at_min)
+    z_plus = {entry[0] for entry in at_min if entry[2] == right_slope}
+    z_minus = [entry[0] for entry in at_min if entry[3] == left_slope]
+    if any(v in z_plus for v in z_minus):
+        return INFINITY
+
+    sums = sorted({a ^ b for a in z_minus for b in z_plus})
+    pts1 = [c.support(el) for el in c.graded_basis(1)]
+    cols = c.boundary_matrix(1).col_words
+    span = Span()
+    pending = []
+    for p, col in zip(pts1, cols):
+        if _line_value(p, t) <= v_min:
+            span.add(col)
+        else:
+            pending.append((_line_value(p, s), col))
+    if any(span.contains(b) for b in sums):
+        raise AssertionError(
+            "connecting chain lies in the t-halfplane alone; upsilon^2 would be -infinity"
+        )
+    pending.sort()
+    cands = sorted({_line_value(p, s) for p in pts1 + pts0})
+    idx = 0
+    for r in cands:
+        while idx < len(pending) and pending[idx][0] <= r:
+            span.add(pending[idx][1])
+            idx += 1
+        if any(span.contains(b) for b in sums):
+            return -2 * (r - v_min)
+    raise AssertionError("families never merge; H_0 classes must agree in the full complex")

@@ -340,6 +340,37 @@ def test_upsilon2_matches_oracle(atoms):
     assert upsilon2(c2, 1, 1) == -2
 
 
+def test_upsilon2_matches_enumerative_referee():
+    # the enumerative pair-sum search is the referee; c3 (x) c3, c3 (x) c4,
+    # c4 (x) c4 and t2_5 (x) c4 are left out, where it takes seconds
+    atoms = [catalog.unknot()]
+    atoms += [catalog.torus_staircase(g, m) for g in (1, 2) for m in (False, True)]
+    atoms += [catalog.cn(2), catalog.cn(3), catalog.cn(4), catalog.figure_eight_model()]
+    slow = {("c3", "c3"), ("c3", "c4"), ("c4", "c4"), ("t2_5", "c4")}
+    pool = atoms + [tensor(c, dual(c)) for c in (catalog.cn(2), catalog.cn(3))]
+    pool += [tensor(a, b) for a, b in combinations_with_replacement(atoms, 2)
+             if (a.name, b.name) not in slow]
+    cases = finite = 0
+    for c in pool:
+        # every finite value of this pool sits at the breakpoint t = 1
+        for t, s in ((1, 0), (1, Fraction(1, 2)), (1, Fraction(3, 2)), (1, 2),
+                     (Fraction(1, 2), Fraction(3, 2)), (Fraction(4, 3), 2)):
+            want = oracles.oracle_upsilon2_enum(c, t, s)
+            assert upsilon2(c, t, s) == want, (c.name, t, s)
+            cases += 1
+            finite += want != INFINITY
+    assert len(pool) == 52 and cases == 312 and finite == 132
+
+
+def test_upsilon2_minus_infinity_is_value_error():
+    # fails filtered-boundary: x lies below both a and b in the t-halfplane
+    # at t = 1, so the connecting chain a + b = d x costs nothing
+    c = complexes.parse("gen a 0 1 -1\ngen b 0 -1 1\ngen x 1 -5 -5\nd x : a b\n")
+    assert not complexes.validate(c).structural_ok
+    with pytest.raises(ValueError, match="-infinity"):
+        upsilon2(c, 1, 1)
+
+
 def test_upsilon2_unique_generator_is_infinite():
     m = catalog.torus_staircase(1, mirror=True)
     for t in SAMPLED_T:
@@ -727,15 +758,17 @@ def test_g0_respects_cap():
 
 
 def test_g_next_cap_counts_pair_sums_times_kernel():
-    # required = (number of admissible pair sums) << dim ker d_n: 256 at
-    # level 7 of c8, where 128 chains are enumerated
+    # required = (number of admissible pair sums with a preimage) << dim
+    # ker d_n, the size of the coset g_next enumerates: on c8, levels 1-8
+    # enumerate 16, 32, 32, 64, 64, 128, 128 and 256 chains
     c8 = catalog.cn(8)
     tower = g_tower(c8, 12)
-    step = tower.levels[7]
-    with pytest.raises(EnumerationLimitError) as exc:
-        g_next(c8, tower.levels[6].realizers, step.chosen_pair, 7, cap=255)
-    assert exc.value.required == 256
-    assert g_next(c8, tower.levels[6].realizers, step.chosen_pair, 7, cap=256)[0] == step.regions
+    for level, size in enumerate((16, 32, 32, 64, 64, 128, 128, 256), start=1):
+        step, prev = tower.levels[level], tower.levels[level - 1]
+        with pytest.raises(EnumerationLimitError) as exc:
+            g_next(c8, prev.realizers, step.chosen_pair, level, cap=size - 1)
+        assert exc.value.required == size
+        assert g_next(c8, prev.realizers, step.chosen_pair, level, cap=size)[0] == step.regions
     for cap, required in ((255, 256), (127, 128), (63, 64), (15, 16)):
         with pytest.raises(EnumerationLimitError) as exc:
             g_tower(c8, 12, cap=cap)
