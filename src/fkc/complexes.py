@@ -9,13 +9,15 @@ grading data determines the full differential over the Laurent ring.
 The grading-n slice has one basis element U^l x_k per generator of matching
 parity (l = (gr(x_k) - n) / 2), with support point (alg - l, alex - l).
 Subcomplexes cut out by closed regions are "threshold" complexes: U^l x_k
-belongs iff l >= t_k for a per-generator threshold, which makes every
-homology computation a finite GF(2) rank problem per grading.
+belongs iff l >= t_k for a per-generator threshold, so each grading slice
+is a prefix of one parity's generators in descending order of gr_k - 2 t_k,
+and one rank pass per parity gives the homology in every grading.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -325,7 +327,8 @@ class Subcomplex:
     """Threshold subcomplex: U^l x_k belongs iff l >= thresholds[k].
 
     Every subcomplex cut out by a closed region has this shape, with
-    t_k = min over corners (a, b) of max(alg_k - a, alex_k - b).
+    t_k = min over corners (a, b) of max(alg_k - a, alex_k - b).  Its
+    homology in every grading comes from one cached rank pass per parity.
     """
 
     parent: FormalComplex
@@ -340,30 +343,48 @@ class Subcomplex:
                 if self.thresholds[l] > self.thresholds[k] + c.u_power(l, k):
                     raise ValueError("thresholds do not cut out a subcomplex")
 
-    def slice_positions(self, n: int) -> list[int]:
-        """Positions (into the parent's grading-n basis) that belong here."""
-        basis = self.parent.graded_basis(n)
-        t = self.thresholds
-        return [i for i, el in enumerate(basis) if el.upower >= t[el.gen_index]]
+    @cached_property
+    def _rank_steps(self) -> tuple[tuple[list[int], list[int]], ...]:
+        """Per parity: the negated tops gr_k - 2 t_k of the columns, ascending,
+        and the rank after the first m columns for each m; x_k is in the
+        slices at and below its top."""
+        c = self.parent
+        steps = []
+        for parity, d in zip(c._parity_indices, c._boundary_by_parity):
+            tops = [c.gens[k].gr - 2 * self.thresholds[k] for k in parity]
+            order = sorted(range(len(parity)), key=tops.__getitem__, reverse=True)
+            span = Span()
+            ranks = [0]
+            for i in order:
+                span.add(d.col_words[i])
+                ranks.append(span.dim)
+            steps.append(([-tops[i] for i in order], ranks))
+        return tuple(steps)
 
-    def slice_matrix(self, n: int) -> BitMatrix:
-        """Differential out of the grading-n slice, in ambient row coordinates."""
-        full = self.parent.boundary_matrix(n)
-        keep = self.slice_positions(n)
-        if len(keep) == full.cols:
-            return full
-        return BitMatrix.from_columns([full.col_words[i] for i in keep], full.rows)
+    def _size_rank(self, n: int) -> tuple[int, int]:
+        """Size of the grading-n slice and rank of the differential out of it."""
+        neg_tops, ranks = self._rank_steps[n & 1]
+        size = bisect_right(neg_tops, -n)
+        return size, ranks[size]
 
     def homology_dim(self, n: int) -> int:
-        m_out = self.slice_matrix(n)
-        m_in = self.slice_matrix(n + 1)
-        return m_out.cols - rank(m_out) - rank(m_in)
+        size, r_out = self._size_rank(n)
+        return size - r_out - self._size_rank(n + 1)[1]
 
-    def window(self) -> tuple[int, int]:
-        """Gradings [lo, hi] outside which the slices are full (below) or empty (above)."""
-        c = self.parent
-        tops = [g.gr - 2 * self.thresholds[k] for k, g in enumerate(c.gens)]
-        return min(tops, default=0), max(tops, default=0)
+    def homology(self) -> tuple[tuple[int, int], ...]:
+        """H_* as the descending pairs (n, dim H_n) with dim H_n != dim H_{n+2}.
+
+        H_n vanishes above every top and can change only at a top or one
+        below it, so dim H_n is the entry of the nearest listed n' >= n with
+        n' = n (mod 2), or 0 if there is none.
+        """
+        tops = {-t for neg_tops, _ in self._rank_steps for t in neg_tops}
+        out = []
+        for n in sorted(tops | {t - 1 for t in tops}, reverse=True):
+            h = self.homology_dim(n)
+            if h != self.homology_dim(n + 2):
+                out.append((n, h))
+        return tuple(out)
 
 
 class H0Probe:
@@ -440,11 +461,6 @@ def union_thresholds(*threshold_sets: Sequence[int]) -> tuple[int, ...]:
 def tau_region_thresholds(c: FormalComplex, m: int) -> tuple[int, ...]:
     """Thresholds over {i <= -1} union R_(0,m)."""
     return union_thresholds(alg_halfplane_thresholds(c, -1), quadrant_thresholds(c, 0, m))
-
-
-def staircase_region_thresholds(c: FormalComplex, g: int) -> tuple[int, ...]:
-    """Thresholds over the staircase region: union of R_(-g+n,-n) for 0 <= n <= g."""
-    return union_thresholds(*(quadrant_thresholds(c, -g + n, -n) for n in range(g + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -525,31 +541,9 @@ def _structural_checks(c: FormalComplex) -> list[CheckResult]:
     return checks
 
 
-def _homology_profile(sub: Subcomplex, lo: int, hi: int) -> tuple[int, ...]:
-    return tuple(sub.homology_dim(n) for n in range(lo, hi + 1))
-
-
 def _support_box(c: FormalComplex) -> tuple[int, int]:
     vals = [g.alg for g in c.gens] + [g.alex for g in c.gens]
     return min(vals, default=0), max(vals, default=0)
-
-
-def _lambda_pattern_ok(c: FormalComplex, thresholds: tuple[int, ...], level: int) -> bool:
-    """H_*(F_level) must match the Laurent-ring model: F in even gradings <= 2*level."""
-    sub = Subcomplex(c, thresholds)
-    n_low, n_high = sub.window()
-    # The top must reach 2*level: above n_high the slices are empty, so an
-    # expected class there (e.g. a complex whose basis sits off the origin)
-    # is a failure the window alone would miss.
-    lo = min(n_low - 1, 2 * level - 1)
-    hi = max(n_high, 2 * level)
-    for n in range(lo, hi + 1):
-        want = 1 if (n % 2 == 0 and n <= 2 * level) else 0
-        if sub.homology_dim(n) != want:
-            return False
-    # Below lo the slices agree with the full complex, whose homology is
-    # F in even gradings by the global check; the target is the same there.
-    return True
 
 
 def validate(c: FormalComplex) -> ValidationReport:
@@ -585,10 +579,7 @@ def validate(c: FormalComplex) -> ValidationReport:
     for d in range(1, min(box_hi - box_lo, top) + 1):
         s1 = Subcomplex(c, quadrant_thresholds(c, box_lo, box_lo + d))
         s2 = Subcomplex(c, quadrant_thresholds(c, box_lo + d, box_lo))
-        lo1, hi1 = s1.window()
-        lo2, hi2 = s2.window()
-        wlo, whi = min(lo1, lo2) - 1, max(hi1, hi2)
-        if _homology_profile(s1, wlo, whi) != _homology_profile(s2, wlo, whi):
+        if s1.homology() != s2.homology():
             bad_offsets.add(d)
     # Failing pairs in (a, b) order: row a holds (a, a + d) for each failing
     # d that fits, so the first three are found in O(box width) steps.
@@ -613,7 +604,9 @@ def validate(c: FormalComplex) -> ValidationReport:
             detail = f"subquotient Euler characteristic {euler}"
         else:
             j = min(level_of(g) for g in c.gens) - 1
-            detail = "" if _lambda_pattern_ok(c, thresholds_of(c, j), j) else f"level {j}"
+            # the model, F in even gradings <= 2j, has the one step (2j, 1)
+            model = Subcomplex(c, thresholds_of(c, j)).homology() == ((2 * j, 1),)
+            detail = "" if model else f"level {j}"
         checks.append(CheckResult(check_name, not detail, detail))
     return ValidationReport(tuple(checks))
 
@@ -621,20 +614,13 @@ def validate(c: FormalComplex) -> ValidationReport:
 def is_stabilizer(a: FormalComplex) -> bool:
     """Acyclicity test for summands invisible to the homological invariants.
 
-    True iff both level-0 filtration subcomplexes are acyclic.  Finite
-    check: below the window the slices agree with the full complex, whose
-    homology is parity-periodic, so vanishing on [N_low - 3, N_high]
-    forces vanishing everywhere.
+    True iff both level-0 filtration subcomplexes are acyclic, that is,
+    iff their step profiles (Subcomplex.homology) are empty.
     """
     report = ValidationReport(tuple(_structural_checks(a)))
     if not report.ok:
         raise ValueError(f"structural conditions fail: {', '.join(report.failed())}")
-    for thresholds in (
-        tuple(g.alex for g in a.gens),
-        tuple(g.alg for g in a.gens),
-    ):
-        sub = Subcomplex(a, thresholds)
-        n_low, n_high = sub.window()
-        if any(sub.homology_dim(n) != 0 for n in range(n_low - 3, n_high + 1)):
-            return False
-    return True
+    return all(
+        Subcomplex(a, thresholds).homology() == ()
+        for thresholds in (tuple(g.alex for g in a.gens), tuple(g.alg for g in a.gens))
+    )

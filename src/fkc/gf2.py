@@ -3,17 +3,16 @@
 Inside the package a vector is a plain int (bit i = coordinate i) and a
 matrix packs each column into one int.  BitVec, which adds the length, is
 built only where a vector leaves the library, in the results of the
-invariants.  One left-to-right column reducer (`relations`) gives ranks,
-kernels and particular solutions; it keeps the first maximal independent
-set of columns, so kernel bases and solutions are those of the reduced
-row echelon form and reproducible across runs.
+invariants.  One left-to-right column reducer (`relations`) gives ranks
+and, through the tags it carries, the kernel vectors and preimages the
+invariants need; it keeps the first maximal independent set of columns,
+so those are the reduced-row-echelon ones and reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class EnumerationLimitError(RuntimeError):
@@ -146,33 +145,9 @@ def relations(columns: Iterable[tuple[int, int]]) -> Iterator[int]:
             yield tag
 
 
-def _unit_tagged(m: BitMatrix) -> Iterator[tuple[int, int]]:
-    return ((col, 1 << c) for c, col in enumerate(m.col_words))
-
-
 def rank(m: BitMatrix) -> int:
     """Dimension of the column space (= row space) over GF(2)."""
     return m.cols - sum(1 for _ in relations((col, 0) for col in m.col_words))
-
-
-def solve(m: BitMatrix, b: int) -> Optional[int]:
-    """Some x with m·x = b, or None if b is outside the column space.
-
-    Free variables are set to zero, so the particular solution is unique
-    for a given matrix.
-    """
-    if b < 0 or b >> m.rows:
-        raise ValueError("right-hand side must fit the row count")
-    last = 1 << m.cols
-    for tag in relations(chain(_unit_tagged(m), ((b, last),))):
-        if tag & last:
-            return tag ^ last
-    return None
-
-
-def kernel_basis(m: BitMatrix) -> list[int]:
-    """Basis of {x : m·x = 0}, one vector per free column, ascending."""
-    return list(relations(_unit_tagged(m)))
 
 
 def enumerate_coset(x0: int, basis: Sequence[int], cap: int) -> Iterator[int]:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from itertools import chain
+from typing import Iterator, Optional, Union
 
 # used only by the test-only helpers and the referee at the end
-from fkc.complexes import FormalComplex, staircase_region_thresholds
-from fkc.gf2 import Span, enumerate_coset, set_bits
+from fkc.complexes import FormalComplex, union_thresholds
+from fkc.gf2 import BitMatrix, Span, enumerate_coset, relations, set_bits
 from fkc.invariants import DEFAULT_ENUM_CAP, INFINITY, Rational, _line_value
 
 MAX_EXHAUSTIVE = 1 << 20
@@ -330,13 +331,7 @@ def _lambda_pattern_ok(c, thresholds, level):
     return True
 
 
-def oracle_validate(c):
-    """[(name, passed, detail)] of every axiom check, by exhaustive loops.
-
-    Symmetry tests every quadrant pair (a, b) with a < b in the support box
-    and the filtration checks walk every level up to the first failure, as
-    the package did before it took one case per U-translation class.
-    """
+def _structural_checks(c):
     parity_bad, filtered_bad, square_bad = [], [], []
     for k, gk in enumerate(c.gens):
         acc = 0
@@ -362,6 +357,17 @@ def oracle_validate(c):
     else:
         checks.append(("d-squared", not square_bad,
                        f"d^2 nonzero on {square_bad[:3]}" if square_bad else ""))
+    return checks
+
+
+def oracle_validate(c):
+    """[(name, passed, detail)] of every axiom check, by exhaustive loops.
+
+    Symmetry tests every quadrant pair (a, b) with a < b in the support box
+    and the filtration checks walk every level up to the first failure, as
+    the package did before it took one case per U-translation class.
+    """
+    checks = _structural_checks(c)
     rank = len(c.gens)
     checks.append(("odd-rank", rank % 2 == 1, "" if rank % 2 == 1 else f"rank {rank} is even"))
     homological = ("global-homology", "symmetry", "alexander-filtration", "algebraic-filtration")
@@ -410,6 +416,22 @@ def oracle_validate(c):
     return checks
 
 
+def oracle_is_stabilizer(c):
+    """Are both level-0 filtration subcomplexes acyclic?  Checked grading by
+    grading from two periods below the lowest top to two above the highest
+    (below the lowest top the slices are full and H_* is 2-periodic, above
+    the highest they are empty).  Raises ValueError naming the failed
+    structural checks, in the package's wording."""
+    failed = [name for name, passed, _ in _structural_checks(c) if not passed]
+    if failed:
+        raise ValueError(f"structural conditions fail: {', '.join(failed)}")
+    for thresholds in ([g.alex for g in c.gens], [g.alg for g in c.gens]):
+        lo, hi = sub_window(c, thresholds) if c.gens else (0, 0)
+        if any(sub_homology_dim(c, thresholds, n) for n in range(lo - 4, hi + 5)):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Test-only helpers on the package's primitives (not independent oracles)
 
@@ -418,6 +440,35 @@ def column_space_basis(m):
     """First maximal independent subset of the columns, in column order."""
     span = Span()
     return [col for col in m.col_words if span.add(col)]
+
+
+def _unit_tagged(m: BitMatrix) -> Iterator[tuple[int, int]]:
+    return ((col, 1 << c) for c, col in enumerate(m.col_words))
+
+
+def solve(m: BitMatrix, b: int) -> Optional[int]:
+    """Some x with m·x = b, or None if b is outside the column space.
+
+    Free variables are set to zero, so the particular solution is unique
+    for a given matrix.
+    """
+    if b < 0 or b >> m.rows:
+        raise ValueError("right-hand side must fit the row count")
+    last = 1 << m.cols
+    for tag in relations(chain(_unit_tagged(m), ((b, last),))):
+        if tag & last:
+            return tag ^ last
+    return None
+
+
+def kernel_basis(m: BitMatrix) -> list[int]:
+    """Basis of {x : m·x = 0}, one vector per free column, ascending."""
+    return list(relations(_unit_tagged(m)))
+
+
+def staircase_region_thresholds(c: FormalComplex, g: int) -> tuple[int, ...]:
+    """Thresholds over the staircase region: union of R_(-g+n,-n) for 0 <= n <= g."""
+    return union_thresholds(*(quadrant_thresholds(c, -g + n, -n) for n in range(g + 1)))
 
 
 def staircase_slice_has_hom_generator(c, g):

@@ -1,16 +1,19 @@
+import re
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from fkc import catalog
+from fkc import catalog, complexes, gf2
 from fkc.complexes import (
     FkcParseError,
     FormalComplex,
     Generator,
     LatticeElement,
     Subcomplex,
+    alex_halfplane_thresholds,
+    alg_halfplane_thresholds,
     degrees,
     direct_sum,
     dual,
@@ -393,6 +396,16 @@ def test_is_stabilizer_rejects_broken_structure():
         is_stabilizer(c)
 
 
+def assert_is_stabilizer_matches_oracle(c):
+    try:
+        want = oracles.oracle_is_stabilizer(c)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            is_stabilizer(c)
+    else:
+        assert is_stabilizer(c) == want
+
+
 # -- randomized structural complexes -----------------------------------------
 
 
@@ -424,6 +437,35 @@ def structural_complexes(draw):
         cols.append(col)
     name = draw(st.sampled_from(["", "rnd", "a'b_c"]))
     return FormalComplex(name, tuple(gens), tuple(cols))
+
+
+# x -> y, acyclic at Alexander level 0 but not at algebraic level 0
+ARROW = FormalComplex("", (Generator("x", 0, 0, 0), Generator("y", -1, -1, 0)), (0b10, 0))
+
+
+@given(structural_complexes())
+@example(ARROW)
+@example(reverse(ARROW))
+def test_is_stabilizer_matches_oracle(c):
+    assert_is_stabilizer_matches_oracle(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([None] + sorted(catalog.builders())),
+    st.integers(-3, 6),
+    st.integers(-3, 6),
+    st.integers(0, 8),
+)
+@example(None, 2, 1, 5)
+@example("unknot", 0, 0, 0)
+@example("c2", 5, 0, 3)
+def test_is_stabilizer_matches_oracle_with_far_squares(atom, a, b, k):
+    """An optional catalog atom plus a square at (a, b) and one at (k, -k)."""
+    c = direct_sum(catalog.square_stabilizer(Point(a, b)), catalog.square_stabilizer(Point(k, -k)))
+    if atom is not None:
+        c = direct_sum(catalog.builders()[atom], c)
+    assert_is_stabilizer_matches_oracle(c)
 
 
 @given(structural_complexes(), structural_complexes())
@@ -479,6 +521,7 @@ def test_validate_matches_exhaustive_oracle(c):
 @example("unknot", 2, 1)
 @example("c2", 5, 0)
 @example("t2_5", 4, 4)
+@example("unknot", 4, -4)
 def test_validate_matches_oracle_with_far_square(atom, a, b):
     c = direct_sum(catalog.builders()[atom], catalog.square_stabilizer(Point(a, b)))
     assert report_tuples(c) == oracles.oracle_validate(c)
@@ -501,6 +544,36 @@ def test_validate_subcomplex_count_ignores_coordinate_size(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_validate_work_is_linear_in_anti_diagonal_offset(monkeypatch):
+    # work = vectors added to spans + columns reduced by gf2.relations
+    work = [0]
+    add, relations = gf2.Span.add, gf2.relations
+
+    def counting_add(self, v):
+        work[0] += 1
+        return add(self, v)
+
+    def counting_relations(columns):
+        def counted():
+            for col in columns:
+                work[0] += 1
+                yield col
+
+        return relations(counted())
+
+    monkeypatch.setattr(gf2.Span, "add", counting_add)
+    monkeypatch.setattr(gf2, "relations", counting_relations)
+    monkeypatch.setattr(complexes, "relations", counting_relations)
+    counts = {}
+    for k in (50, 200):
+        work[0] = 0
+        c = direct_sum(catalog.unknot(), catalog.square_stabilizer())
+        report = validate(direct_sum(c, catalog.square_stabilizer(Point(k, -k))))
+        assert report.failed() == ("symmetry",)
+        counts[k] = work[0]
+    assert counts[200] <= 5 * counts[50]
+
+
 # -- threshold subcomplexes -------------------------------------------------
 
 
@@ -511,14 +584,26 @@ def test_subcomplex_rejects_non_closed_thresholds():
         Subcomplex(m, (0, 0, 5))
 
 
-def test_subcomplex_homology_against_dense_rank():
-    c = catalog.cn(2)
-    sub = Subcomplex(c, quadrant_thresholds(c, 0, 1))
-    for n in (-2, -1, 0, 1, 2):
-        m_out = sub.slice_matrix(n)
-        m_in = sub.slice_matrix(n + 1)
-        rows_out = [[(w >> i) & 1 for w in m_out.col_words] for i in range(m_out.rows)]
-        rows_in = [[(w >> i) & 1 for w in m_in.col_words] for i in range(m_in.rows)]
-        r_out = oracles.dense_rank(rows_out) if m_out.cols else 0
-        r_in = oracles.dense_rank(rows_in) if m_in.cols else 0
-        assert sub.homology_dim(n) == m_out.cols - r_out - r_in
+THRESHOLDS = {
+    "quadrant": quadrant_thresholds,
+    "alg": lambda c, a, b: alg_halfplane_thresholds(c, a),
+    "alex": lambda c, a, b: alex_halfplane_thresholds(c, b),
+}
+
+
+@given(structural_complexes(), st.sampled_from(sorted(THRESHOLDS)),
+       st.integers(-4, 4), st.integers(-4, 4))
+@example(catalog.cn(2), "quadrant", 0, 1)
+def test_subcomplex_homology_against_dense_rank(c, kind, a, b):
+    thresholds = THRESHOLDS[kind](c, a, b)
+    sub = Subcomplex(c, thresholds)
+    steps = sub.homology()
+    # strictly descending, and each listed grading is a change from n + 2
+    assert [n for n, _ in steps] == sorted({n for n, _ in steps}, reverse=True)
+    assert all(d != oracles.sub_homology_dim(c, thresholds, n + 2) for n, d in steps)
+    tops = [g.gr - 2 * t for g, t in zip(c.gens, thresholds)] or [0]
+    for n in range(min(tops) - 4, max(tops) + 5):
+        h = oracles.sub_homology_dim(c, thresholds, n)
+        assert sub.homology_dim(n) == h
+        # dim H_n is the step at the nearest listed grading n' >= n of n's parity
+        assert next((d for m, d in reversed(steps) if m >= n and (m - n) % 2 == 0), 0) == h

@@ -6,13 +6,11 @@ from fkc.gf2 import (
     EnumerationLimitError,
     Span,
     enumerate_coset,
-    kernel_basis,
     rank,
-    solve,
 )
 
 import oracles
-from oracles import column_space_basis
+from oracles import column_space_basis, kernel_basis, solve
 
 
 def mat(rows):
