@@ -32,9 +32,11 @@ def _err(message: str) -> None:
 
 def _load(path: str) -> FormalComplex:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text") from exc
     try:
         return complexes.parse(text)
     except FkcParseError as exc:
@@ -68,7 +70,10 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _write_output(c: FormalComplex, out: str) -> None:
-    Path(out).write_text(complexes.serialize(c))
+    try:
+        Path(out).write_text(complexes.serialize(c))
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _cmd_validate(args) -> int:
@@ -197,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fkc",
         description="Formal knot complexes: validation, invariants and constructions.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # only the commands that enumerate cosets take the cap
+    enum_cap = argparse.ArgumentParser(add_help=False)
+    enum_cap.add_argument(
         "--max-enum",
         type=_nonnegative_int,
         default=invariants.DEFAULT_ENUM_CAP,
@@ -207,71 +213,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="run the axiom checks")
+    p = sub.add_parser("validate", help="run the axiom checks")
     p.add_argument("file")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("invariants", parents=[common], help="nu+, tau, genus, V_k")
+    p = sub.add_parser("invariants", help="nu+, tau, genus, V_k")
     p.add_argument("file")
     p.add_argument("--vk-max", type=_nonnegative_int, default=None, metavar="K")
     p.add_argument("--force", action="store_true",
                    help="compute even if the homological checks fail")
     p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("upsilon", parents=[common], help="exact PL Upsilon breakpoints")
+    p = sub.add_parser("upsilon", parents=[enum_cap], help="exact PL Upsilon breakpoints")
     p.add_argument("file")
     p.set_defaults(func=_cmd_upsilon)
 
-    p = sub.add_parser("upsilon2", parents=[common], help="secondary Upsilon at (t, s)")
+    p = sub.add_parser("upsilon2", parents=[enum_cap], help="secondary Upsilon at (t, s)")
     p.add_argument("file")
     p.add_argument("--t", required=True)
     p.add_argument("--s", required=True)
     p.set_defaults(func=_cmd_upsilon2)
 
-    p = sub.add_parser("g0", parents=[common], help="minimal generator regions")
+    p = sub.add_parser("g0", parents=[enum_cap], help="minimal generator regions")
     p.add_argument("file")
     p.set_defaults(func=_cmd_g0)
 
-    p = sub.add_parser("gtower", parents=[common], help="the region tower")
+    p = sub.add_parser("gtower", parents=[enum_cap], help="the region tower")
     p.add_argument("file")
     p.add_argument("--depth", type=_nonnegative_int, required=True)
     p.set_defaults(func=_cmd_gtower)
 
-    p = sub.add_parser("compare", parents=[common], help="order of two complexes")
+    p = sub.add_parser("compare", help="order of two complexes")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("tensor", parents=[common], help="tensor product to -o")
+    p = sub.add_parser("tensor", help="tensor product to -o")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_tensor)
 
-    p = sub.add_parser("dual", parents=[common], help="dual complex to -o")
+    p = sub.add_parser("dual", help="dual complex to -o")
     p.add_argument("a")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_dual)
 
-    p = sub.add_parser("sum", parents=[common], help="direct sum to -o")
+    p = sub.add_parser("sum", help="direct sum to -o")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sum)
 
-    p = sub.add_parser("reverse", parents=[common], help="swap the two filtrations")
+    p = sub.add_parser("reverse", help="swap the two filtrations")
     p.add_argument("a")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_reverse)
 
-    p = sub.add_parser("dsurgery", parents=[common], help="surgery correction-term difference")
+    p = sub.add_parser("dsurgery", help="surgery correction-term difference")
     p.add_argument("file")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
     p.add_argument("-i", type=int, required=True)
     p.set_defaults(func=_cmd_dsurgery)
 
-    p = sub.add_parser("stabilizer-check", parents=[common], help="acyclicity test")
+    p = sub.add_parser("stabilizer-check", help="acyclicity test")
     p.add_argument("file")
     p.set_defaults(func=_cmd_stabilizer_check)
     return parser

@@ -582,9 +582,11 @@ def validate(c: FormalComplex) -> ValidationReport:
         if s1.homology() != s2.homology():
             bad_offsets.add(d)
     # Failing pairs in (a, b) order: row a holds (a, a + d) for each failing
-    # d that fits, so the first three are found in O(box width) steps.
-    failing = [d for d in range(1, box_hi - box_lo + 1) if min(d, top) in bad_offsets]
-    pairs = ((a, a + d) for a in range(box_lo, box_hi + 1)
+    # d that fits, and rows shrink as a grows.  Every d > top fails with
+    # top, so the first three pairs use the first three failing d, all at
+    # most top + 2, and lie in the first three rows.
+    failing = [d for d in range(1, box_hi - box_lo + 1)[:top + 2] if min(d, top) in bad_offsets]
+    pairs = ((a, a + d) for a in range(box_lo, box_hi + 1)[:3]
              for d in takewhile(lambda d: a + d <= box_hi, failing))
     sym_bad = list(islice(pairs, 3))
     checks.append(CheckResult("symmetry", not sym_bad,

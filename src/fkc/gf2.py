@@ -3,16 +3,19 @@
 Inside the package a vector is a plain int (bit i = coordinate i) and a
 matrix packs each column into one int.  BitVec, which adds the length, is
 built only where a vector leaves the library, in the results of the
-invariants.  One left-to-right column reducer (`relations`) gives ranks
-and, through the tags it carries, the kernel vectors and preimages the
-invariants need; it keeps the first maximal independent set of columns,
-so those are the reduced-row-echelon ones and reproducible across runs.
+invariants; an affine space of vectors leaves it as a Coset, which yields
+its BitVecs ascending.  One left-to-right column reducer (`relations`)
+gives ranks and, through the tags it carries, the kernel vectors and
+preimages the invariants need; it keeps the first maximal independent set
+of columns, so those are the reduced-row-echelon ones and reproducible
+across runs.  `affine_kernel` puts the solutions of one inhomogeneous
+system through it as a point and a basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class EnumerationLimitError(RuntimeError):
@@ -145,6 +148,24 @@ def relations(columns: Iterable[tuple[int, int]]) -> Iterator[int]:
             yield tag
 
 
+def affine_kernel(
+    point: tuple[int, int], dirs: Sequence[tuple[int, int]]
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(x, basis) with x + span(basis) the tag sums tag(point) + sum(c_k
+    tag(dirs[k])) over the solutions c of col(point) + sum(c_k col(dirs[k]))
+    = 0, for (column, tag) pairs; None when there is no solution.
+
+    Bit 0 of the shifted tags marks the point's column, which comes last,
+    so its relation (if any) is the last one; the basis keeps the first
+    independent tag sums of the others.
+    """
+    rels = list(relations([(col, tag << 1) for col, tag in dirs] + [(point[0], point[1] << 1 | 1)]))
+    if not rels or not rels[-1] & 1:
+        return None
+    span = Span()
+    return rels[-1] >> 1, tuple(tag >> 1 for tag in rels[:-1] if span.add(tag >> 1))
+
+
 def rank(m: BitMatrix) -> int:
     """Dimension of the column space (= row space) over GF(2)."""
     return m.cols - sum(1 for _ in relations((col, 0) for col in m.col_words))
@@ -166,3 +187,21 @@ def enumerate_coset(x0: int, basis: Sequence[int], cap: int) -> Iterator[int]:
     for i in range(1, required):
         bits ^= basis[(i & -i).bit_length() - 1]
         yield bits
+
+
+@dataclass(frozen=True)
+class Coset:
+    """The affine space point + span(basis) of GF(2) vectors of a fixed
+    length, basis independent; it iterates as BitVecs, ascending.  Two
+    Cosets compare equal only when their point and basis are equal."""
+
+    point: int
+    basis: tuple[int, ...]
+    length: int
+
+    def __len__(self) -> int:
+        return 1 << len(self.basis)
+
+    def __iter__(self) -> Iterator[BitVec]:
+        for bits in sorted(enumerate_coset(self.point, self.basis, len(self))):
+            yield BitVec(bits, self.length)

@@ -11,11 +11,11 @@ Two computation routes coexist on purpose:
   shares one elimination of d_0.
 * g0 / g_next / g_tower / hom_generators / upsilon2 enumerate a coset of
   chains (the homological generators, or a tower level's preimages)
-  through one sweep whose hard cap is the only cap check, because the
-  region invariants need the actual chains.  Each chain is keyed by the corners
-  of its region, so the work after the enumeration grows linearly with
-  the number of chains.  The realizer sets of g_next and the one-sided
-  families of upsilon2 are affine spaces x + L, so pairs of them are
+  through one sweep whose hard cap is the only cap check, and key each
+  chain by the corners of its region.  Every realizer set of the tower
+  and each one-sided family of upsilon2 is that coset cut down to the
+  chains on a set of positions, F ∩ coord(R) = x + span(L): one
+  gf2.affine_kernel pass gives it as a gf2.Coset, and pairs of them are
   handled by linear algebra instead of forming every pair.
 
 The *_from_g0 functions evaluate the same invariants from a G0 region set
@@ -39,13 +39,7 @@ from .complexes import (
     tensor,
     dual,
 )
-from .gf2 import (
-    BitVec,
-    Span,
-    enumerate_coset,
-    relations,
-    set_bits,
-)
+from .gf2 import BitVec, Coset, Span, affine_kernel, enumerate_coset, set_bits
 from .region import ClosedRegion, Point, minimalize
 
 DEFAULT_ENUM_CAP = 1 << 22
@@ -84,6 +78,7 @@ class _Sweep:
         self.width = len(pts)
         order = sorted(range(self.width), key=lambda k: (-pts[k].i, -pts[k].j))
         self.points = [pts[k] for k in order]
+        self._order = order
         self._position = {k: p for p, k in enumerate(order)}
         first: dict[Point, int] = {}
         self._name = [first.setdefault(pt, p) for p, pt in enumerate(self.points)]
@@ -120,12 +115,16 @@ class _Sweep:
                 rest &= undominated[p]
             yield w & mask, tuple(key)
 
-    def grouped(self, x0: int, basis: Sequence[int], cap: int) -> dict[tuple[int, ...], list[int]]:
-        """The chains of x0 + span(basis) grouped by corner key."""
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for bits, key in self.keyed_chains(x0, basis, cap):
-            groups.setdefault(key, []).append(bits)
-        return groups
+    def keys(self, x0: int, basis: Sequence[int], cap: int) -> set[tuple[int, ...]]:
+        """The corner keys of the chains of x0 + span(basis)."""
+        return {key for _, key in self.keyed_chains(x0, basis, cap)}
+
+    def restrict(self, x0: int, basis: Sequence[int], positions: Iterable[int]) -> Coset:
+        """The chains of x0 + span(basis) supported on the given sweep
+        positions, which must hold at least one of them."""
+        inside = sum(1 << self._order[p] for p in positions)
+        x, cut = affine_kernel((x0 & ~inside, x0), [(b & ~inside, b) for b in basis])
+        return Coset(x, cut, self.width)
 
     def region(self, key: tuple[int, ...]) -> ClosedRegion:
         r = self._regions.get(key)
@@ -136,15 +135,16 @@ class _Sweep:
 
 def _minimal_realizers(
     c: FormalComplex, n: int, x0: int, basis: Sequence[int], cap: int
-) -> dict[ClosedRegion, tuple[BitVec, ...]]:
-    """Group the grading-n chains of x0 + span(basis) by region: each
-    subset-minimal region with its realizers, ascending."""
+) -> dict[ClosedRegion, Coset]:
+    """Each subset-minimal region of the grading-n chains of x0 + span(basis)
+    with its realizers.  No chain region lies strictly inside a minimal R,
+    so the realizers of R are all the chains supported in R."""
     sweep = _Sweep(c, n)
-    by_key = sweep.grouped(x0, basis, cap)
-    key_of = {sweep.region(key): key for key in by_key}
     return {
-        r: tuple(BitVec(b, sweep.width) for b in sorted(by_key[key_of[r]]))
-        for r in minimalize(key_of)
+        r: sweep.restrict(
+            x0, basis, [p for p, pt in enumerate(sweep.points) if r.contains_point(pt)]
+        )
+        for r in minimalize(map(sweep.region, sweep.keys(x0, basis, cap)))
     }
 
 
@@ -239,45 +239,19 @@ def g0(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[ClosedRegion, ...
     return tuple(level0_realizers(c, cap))
 
 
-def level0_realizers(
-    c: FormalComplex, cap: int = DEFAULT_ENUM_CAP
-) -> dict[ClosedRegion, tuple[BitVec, ...]]:
+def level0_realizers(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> dict[ClosedRegion, Coset]:
     """Realizer sets gen_0(C; R) for every R in G0(C), in G0 order."""
     probe = c.h0_probe
     return _minimal_realizers(c, 0, probe.z0, probe.boundary_basis, cap)
 
 
-def _affine_hull(chains: Sequence[BitVec]) -> tuple[int, list[int]]:
-    """(x, basis of L) with the chains equal to x + span(L); ValueError if
-    they are not an affine space.
-
-    Take the basis b_0 < b_1 < ... of L in reduced echelon form by leading
-    bit, and x the least element.  Sorted ascending, x + span(L) then has
-    x + sum(b_j for the set bits j of i) at position i, so the elements at
-    positions 2^j give the b_j, and the set is affine iff it equals the
-    coset they generate.
-    """
-    bits = sorted({z.bits for z in chains})
-    dim = len(bits).bit_length() - 1
-    if not bits or len(bits) != 1 << dim:
-        raise ValueError("a realizer set must be an affine space x + span(L)")
-    x = bits[0]
-    basis = [bits[1 << j] ^ x for j in range(dim)]
-    hull = [x]
-    for b in basis:
-        hull += [v ^ b for v in hull]
-    if sorted(hull) != bits:
-        raise ValueError("a realizer set must be an affine space x + span(L)")
-    return x, basis
-
-
 def g_next(
     c: FormalComplex,
-    realizers: Mapping[ClosedRegion, Sequence[BitVec]],
+    realizers: Mapping[ClosedRegion, Coset],
     pair: tuple[ClosedRegion, ClosedRegion],
     level: int,
     cap: int = DEFAULT_ENUM_CAP,
-) -> tuple[tuple[ClosedRegion, ...], dict[ClosedRegion, tuple[BitVec, ...]]]:
+) -> tuple[tuple[ClosedRegion, ...], dict[ClosedRegion, Coset]]:
     """One induction step of the region tower.
 
     Level n solutions are grading-n chains x with boundary z1 + z2, where
@@ -287,11 +261,9 @@ def g_next(
     Returns the minimalized region set, which may be empty for n >= 2,
     together with all realizers of each surviving region.
 
-    Precondition: each chosen region's realizer set is an affine space
-    x + span(L), as every realizer set this function and level0_realizers
-    return is; ValueError otherwise.  The admissible sums z1 + z2 are then
-    the cycles of x1 + x2 + span(L1 u L2), again an affine space, and the
-    solutions are its preimage, enumerated as one coset.
+    With the realizer sets x1 + span(L1) and x2 + span(L2), the admissible
+    sums z1 + z2 are the cycles of x1 + x2 + span(L1 u L2), again an affine
+    space, and the solutions are its preimage, enumerated as one coset.
     """
     r1, r2 = pair
     if r1 == r2:
@@ -300,41 +272,23 @@ def g_next(
         raise ValueError("chosen regions must come from the previous level")
     d_here = c.boundary_matrix(level)
     d_prev = c.boundary_matrix(level - 1)
-    x1, dirs1 = _affine_hull(realizers[r1])
-    x2, dirs2 = _affine_hull(realizers[r2])
-
-    # The cycles y0 + span(rhs_dirs) of x1 + x2 + span(L1 u L2): the tags
-    # of the relations among the boundaries of its point and directions.
-    y = x1 ^ x2
-    mark = 1 << d_prev.cols
-    columns = [(d_prev.mul_vec(v), v) for v in Span(dirs1 + dirs2).basis]
-    y0, rhs_dirs = None, []
-    for tag in relations(columns + [(d_prev.mul_vec(y), y | mark)]):
-        if tag & mark:
-            y0 = tag ^ mark
-        else:
-            rhs_dirs.append(tag)
-    if y0 is None:
+    z1, z2 = realizers[r1], realizers[r2]
+    y = z1.point ^ z2.point
+    # the cycles y0 + span(rhs_dirs) of y + span(L1 u L2), then their
+    # preimage under d_here, with the rhs directions tagged 0
+    cycles = affine_kernel(
+        (d_prev.mul_vec(y), y), [(d_prev.mul_vec(v), v) for v in z1.basis + z2.basis]
+    )
+    if cycles is None:
         return (), {}
-
-    # Its preimage x0 + span(kernel + lifts) under d_here: relations of
-    # [d_here | rhs_dirs | y0], with the rhs columns tagged above the chains.
-    width = d_here.cols
-    chain_mask = (1 << width) - 1
-    top = 1 << (width + len(rhs_dirs))
-    columns = [(col, 1 << k) for k, col in enumerate(d_here.col_words)]
-    columns += [(v, 1 << (width + k)) for k, v in enumerate(rhs_dirs)]
-    x0, kernel, lifts = None, [], []
-    for tag in relations(columns + [(y0, top)]):
-        if tag & top:
-            x0 = tag & chain_mask
-        elif tag >> width:
-            lifts.append(tag & chain_mask)
-        else:
-            kernel.append(tag)
-    if x0 is None:
+    y0, rhs_dirs = cycles
+    chains = affine_kernel(
+        (y0, 0),
+        [(col, 1 << k) for k, col in enumerate(d_here.col_words)] + [(v, 0) for v in rhs_dirs],
+    )
+    if chains is None:
         return (), {}
-    found = _minimal_realizers(c, level, x0, kernel + lifts, cap)
+    found = _minimal_realizers(c, level, *chains, cap)
     return tuple(found), found
 
 
@@ -342,7 +296,7 @@ def g_next(
 class GLevel:
     regions: tuple[ClosedRegion, ...]
     chosen_pair: Optional[tuple[ClosedRegion, ClosedRegion]]
-    realizers: Mapping[ClosedRegion, tuple[BitVec, ...]]
+    realizers: Mapping[ClosedRegion, Coset]
 
 
 @dataclass(frozen=True)
@@ -478,27 +432,28 @@ def upsilon2(
     if not 0 <= s <= 2:
         raise ValueError("s must lie in [0, 2]")
     sweep = _Sweep(c, 0)
-    groups = sweep.grouped(c.h0_probe.z0, c.h0_probe.boundary_basis, cap)
+    z0, basis = c.h0_probe.z0, c.h0_probe.boundary_basis
     # (t-line value, support slope) per sweep position, times 2 * t.denominator and 2
     a, b = t.numerator, t.denominator
     marks = [((2 * b - a) * p.i + a * p.j, p.j - p.i) for p in sweep.points]
     # z+ minimizes (value, steepest active slope), z- (value, -shallowest)
     stats = {}
-    for key in groups:
+    for key in sweep.keys(z0, basis, cap):
         vals = [marks[p] for p in key]
         fz, steepest = max(vals)
         stats[key] = (fz, steepest), (fz, -min(sl for val, sl in vals if val == fz))
     right, left = (min(st[side] for st in stats.values()) for side in (0, 1))
-    z_plus = {key for key, st in stats.items() if st[0] == right}
-    z_minus = {key for key, st in stats.items() if st[1] == left}
-    if z_plus & z_minus:
+    # a chain is in z+ (z-) iff each of its points p has marks[p] <= right
+    # ((value, -slope) <= left); the families overlap iff x+ + x- is in L+ + L-
+    plus = sweep.restrict(z0, basis, [p for p, m in enumerate(marks) if m <= right])
+    minus = sweep.restrict(z0, basis, [p for p, (v, sl) in enumerate(marks) if (v, -sl) <= left])
+    span = Span(plus.basis + minus.basis)
+    target = plus.point ^ minus.point
+    if span.contains(target):
         return INFINITY
     v_min = Fraction(right[0], 2 * b)
 
-    # span(L+ u L-) and the boundaries of the grading-1 points in the t-halfplane
-    plus, minus = ([v for key in family for v in groups[key]] for family in (z_plus, z_minus))
-    span = Span([v ^ plus[0] for v in plus] + [v ^ minus[0] for v in minus])
-    target = plus[0] ^ minus[0]
+    # add the boundaries of the grading-1 points in the t-halfplane
     pts1 = [c.support(el) for el in c.graded_basis(1)]
     pending = []
     for p, col in zip(pts1, c.boundary_matrix(1).col_words):

@@ -200,6 +200,32 @@ def test_missing_file_exit_code(capsys):
     assert err.startswith("fkc: error:")
 
 
+def test_non_utf8_file_is_a_read_error(tmp_path, capsys):
+    bad = tmp_path / "binary.fkc"
+    bad.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out, err) == (2, "", f"fkc: error: cannot read {bad}: not UTF-8 text\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("dual", "c2"), ("reverse", "c2"), ("tensor", "t2_3", "c2"), ("sum", "unknot", "square")],
+)
+def test_unwritable_output_is_a_usage_error(data, tmp_path, capsys, argv):
+    cmd, *names = argv
+    target = tmp_path / "missing" / "out.fkc"
+    code, out, err = run(capsys, cmd, *(data[n] for n in names), "-o", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"fkc: error: cannot write {target}:")
+
+
+@pytest.mark.parametrize("cmd", ["validate", "invariants", "stabilizer-check"])
+def test_max_enum_only_on_enumerating_commands(data, capsys, cmd):
+    code, out, err = run(capsys, cmd, data["t2_3"], "--max-enum", "5")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --max-enum 5" in err
+
+
 def test_usage_error_exit_code(capsys):
     code = main(["frobnicate"])
     assert code == 2

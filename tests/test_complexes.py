@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -542,6 +543,14 @@ def test_validate_subcomplex_count_ignores_coordinate_size(monkeypatch):
         assert validate(direct_sum(catalog.unknot(), catalog.square_stabilizer(Point(s, s)))).ok
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+def test_validate_time_ignores_far_diagonal_offset():
+    # the symmetry report scans at most genus + 2 offsets and 3 rows, whatever the box width
+    c = direct_sum(catalog.unknot(), catalog.square_stabilizer(Point(10**7, 10**7)))
+    start = time.perf_counter()
+    assert validate(c).ok
+    assert time.perf_counter() - start < 0.5
 
 
 def test_validate_work_is_linear_in_anti_diagonal_offset(monkeypatch):

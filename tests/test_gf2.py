@@ -3,10 +3,14 @@ import pytest
 
 from fkc.gf2 import (
     BitMatrix,
+    BitVec,
+    Coset,
     EnumerationLimitError,
     Span,
+    affine_kernel,
     enumerate_coset,
     rank,
+    set_bits,
 )
 
 import oracles
@@ -108,6 +112,13 @@ def test_enumerate_coset_cap():
     assert "32" in str(exc.value)
 
 
+def test_coset_iterates_ascending():
+    coset = Coset(0b0110, (0b0011, 0b1001), 4)
+    assert len(coset) == 4
+    assert tuple(coset) == tuple(BitVec(b, 4) for b in (0b0101, 0b0110, 0b1100, 0b1111))
+    assert tuple(Coset(0b101, (), 3)) == (BitVec(0b101, 3),)
+
+
 def test_column_space_basis_keeps_first_independent():
     m = mat([[1, 1, 0], [0, 0, 1]])
     basis = column_space_basis(m)
@@ -181,3 +192,25 @@ def test_reducer_matches_dense_rref(m, bbits):
     if sol is not None:
         assert m.mul_vec(sol) == b
         assert all(c in pivots for c in range(m.cols) if sol >> c & 1)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 15), st.integers(0, 31)), max_size=6),
+    st.tuples(st.integers(0, 15), st.integers(0, 31)),
+)
+def test_affine_kernel_matches_brute_force(dirs, point):
+    want = set()
+    for c in range(1 << len(dirs)):
+        col, tag = point
+        for k in set_bits(c):
+            col ^= dirs[k][0]
+            tag ^= dirs[k][1]
+        if col == 0:
+            want.add(tag)
+    got = affine_kernel(point, dirs)
+    if not want:
+        assert got is None
+        return
+    x, basis = got
+    assert set(enumerate_coset(x, basis, cap=1 << len(basis))) == want
+    assert len(want) == 1 << len(basis)

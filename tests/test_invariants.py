@@ -7,7 +7,7 @@ import pytest
 
 from fkc import catalog, complexes
 from fkc.complexes import FormalComplex, dual, genus, tensor
-from fkc.gf2 import BitVec, EnumerationLimitError
+from fkc.gf2 import EnumerationLimitError
 from fkc.invariants import (
     INFINITY,
     PLFunction,
@@ -71,7 +71,7 @@ def test_hom_generators_cn(n):
     minimal = level0_realizers(c)
     assert sorted(region_key(r) for r in minimal) == [((0, 1),), ((1, 0),)]
     for chains in minimal.values():
-        assert len(chains) == 1 and chains[0].weight() == 1
+        assert len(chains) == 1 and next(iter(chains)).weight() == 1
 
 
 def test_hom_generators_match_oracle():
@@ -564,30 +564,6 @@ def test_g_next_keeps_all_realizers():
     regions3, reals3 = g_next(c3, reals2, (regions2[0], regions2[1]), 3)
     assert regions3 == (quadrant(3, 3),)
     assert len(reals3[quadrant(3, 3)]) == 4
-
-
-def test_g_next_rejects_non_affine_realizers():
-    # g_next requires each realizer set to be an affine space x + span(L)
-    c3 = catalog.cn(3)
-    regions, reals = g_next(
-        c3, level0_realizers(c3), (quadrant(0, 1), quadrant(1, 0)), 1
-    )
-    regions2, reals2 = g_next(c3, reals, (regions[0], regions[1]), 2)
-    r = regions2[0]
-    dropped = dict(reals2)
-    dropped[r] = reals2[r][1:]
-    with pytest.raises(ValueError, match="affine"):
-        g_next(c3, dropped, (regions2[0], regions2[1]), 3)
-    # four chains that are not a coset: replace one by a chain outside the hull
-    z = reals2[r]
-    outside = next(
-        BitVec(b, z[0].length) for b in range(1 << z[0].length)
-        if b not in {v.bits for v in z} and b != z[0].bits ^ z[1].bits ^ z[2].bits
-    )
-    swapped = dict(reals2)
-    swapped[r] = z[:3] + (outside,)
-    with pytest.raises(ValueError, match="affine"):
-        g_next(c3, swapped, (regions2[0], regions2[1]), 3)
 
 
 def test_g_next_arbitrary_branch_choices():
