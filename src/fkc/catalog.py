@@ -131,4 +131,4 @@ def data_path(name: str) -> Path:
 
 
 def load(name: str) -> FormalComplex:
-    return parse(data_path(name).read_text())
+    return parse(data_path(name).read_text(encoding="utf-8-sig"))

@@ -32,7 +32,7 @@ def _err(message: str) -> None:
 
 def _load(path: str) -> FormalComplex:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

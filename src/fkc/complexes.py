@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import islice, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .gf2 import BitMatrix, Span, rank, relations, set_bits
+from .gf2 import BitMatrix, Coset, Span, rank, relations, set_bits
 from .region import ClosedRegion, Point
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
@@ -101,20 +101,19 @@ class FormalComplex:
 
     @cached_property
     def _boundary_by_parity(self) -> tuple[BitMatrix, BitMatrix]:
+        """(from even, from odd): the differential from the even-graded
+        slices lands in the odd-graded ones and vice versa."""
         even, odd = self._parity_indices
-        pos = {("e", k): i for i, k in enumerate(even)}
-        pos.update({("o", k): i for i, k in enumerate(odd)})
-
-        def build(cols_idx, rows_idx, tag):
-            columns = [
-                sum(1 << pos[(tag, l)] for l in set_bits(self.d_cols[k])) for k in cols_idx
-            ]
-            return BitMatrix.from_columns(columns, len(rows_idx))
-
-        # differential from even-graded slices lands in odd-graded ones
-        from_even = build(even, odd, "o")
-        from_odd = build(odd, even, "e")
-        return from_even, from_odd
+        pos = [0] * len(self.gens)
+        for idx in (even, odd):
+            for i, k in enumerate(idx):
+                pos[k] = i
+        return tuple(
+            BitMatrix.from_columns(
+                [sum(1 << pos[l] for l in set_bits(self.d_cols[k])) for k in cols], len(rows)
+            )
+            for cols, rows in ((even, odd), (odd, even))
+        )
 
     def boundary_matrix(self, n: int) -> BitMatrix:
         """Matrix of the differential from the grading-n slice to grading n-1.
@@ -240,16 +239,10 @@ def tensor(a: FormalComplex, b: FormalComplex) -> FormalComplex:
             gens.append(
                 Generator(names[k * s + l], ga.gr + gb.gr, ga.alg + gb.alg, ga.alex + gb.alex)
             )
-    cols = []
-    for k in range(len(a.gens)):
-        left = a.boundary_targets(k)
-        for l in range(s):
-            bits = 0
-            for ka in left:
-                bits ^= 1 << (ka * s + l)
-            for lb in b.boundary_targets(l):
-                bits ^= 1 << (k * s + lb)
-            cols.append(bits)
+    # a's targets of x_k, placed at stride s: the left Leibniz term of x_k x_l
+    # is spread[k] << l
+    spread = [sum(1 << (ka * s) for ka in set_bits(col)) for col in a.d_cols]
+    cols = [(spread[k] << l) ^ (b.d_cols[l] << k * s) for k in range(len(a.gens)) for l in range(s)]
     name = f"{a.name}_ot_{b.name}" if a.name and b.name else ""
     return FormalComplex(name, tuple(gens), tuple(cols))
 
@@ -392,8 +385,11 @@ class H0Probe:
     a grading-0 cycle that is not a boundary.
 
     Built once per complex (FormalComplex.h0_probe) and never changed
-    afterwards, so concurrent queries may share it.  z0 is the first
+    afterwards, so concurrent queries may share it.  generators is the
+    Coset z0 + im d_1 of all homological generators, with z0 the first
     reduced-row-echelon kernel vector of d_0 outside the boundaries.
+    test(thresholds) is true iff generators.restrict to the subcomplex's
+    grading-0 coordinates is not None; the rank test is the faster route.
     """
 
     def __init__(self, c: FormalComplex):
@@ -402,12 +398,11 @@ class H0Probe:
             for i, (el, col) in enumerate(zip(c.graded_basis(0), c.boundary_matrix(0).col_words))
         )
         self.boundaries = Span()
-        self.boundary_basis = tuple(
-            col for col in c.boundary_matrix(1).col_words if self.boundaries.add(col)
-        )
-        self.z0 = next(self._generators((col, tag) for _, _, col, tag in self._slice), 0)
-        if not self.z0:
+        basis = tuple(col for col in c.boundary_matrix(1).col_words if self.boundaries.add(col))
+        z0 = next(self._generators((col, tag) for _, _, col, tag in self._slice), 0)
+        if not z0:
             raise ValueError("H_0 vanishes; the complex violates the axioms")
+        self.generators = Coset(z0, basis, len(self._slice))
 
     def _generators(self, columns: Iterable[tuple[int, int]]) -> Iterator[int]:
         """Cycles among the tagged d_0 columns that are not boundaries."""

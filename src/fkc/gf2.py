@@ -9,7 +9,8 @@ gives ranks and, through the tags it carries, the kernel vectors and
 preimages the invariants need; it keeps the first maximal independent set
 of columns, so those are the reduced-row-echelon ones and reproducible
 across runs.  `affine_kernel` puts the solutions of one inhomogeneous
-system through it as a point and a basis.
+system through it as a Coset, and `Coset.restrict`, the one region cut,
+keeps a coset's vectors on a coordinate set with one such pass.
 """
 
 from __future__ import annotations
@@ -149,11 +150,12 @@ def relations(columns: Iterable[tuple[int, int]]) -> Iterator[int]:
 
 
 def affine_kernel(
-    point: tuple[int, int], dirs: Sequence[tuple[int, int]]
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """(x, basis) with x + span(basis) the tag sums tag(point) + sum(c_k
-    tag(dirs[k])) over the solutions c of col(point) + sum(c_k col(dirs[k]))
-    = 0, for (column, tag) pairs; None when there is no solution.
+    point: tuple[int, int], dirs: Sequence[tuple[int, int]], length: int
+) -> Optional["Coset"]:
+    """The Coset of tag sums tag(point) + sum(c_k tag(dirs[k])), vectors of
+    the given length, over the solutions c of col(point) + sum(c_k
+    col(dirs[k])) = 0, for (column, tag) pairs; None when there is no
+    solution.
 
     Bit 0 of the shifted tags marks the point's column, which comes last,
     so its relation (if any) is the last one; the basis keeps the first
@@ -163,7 +165,7 @@ def affine_kernel(
     if not rels or not rels[-1] & 1:
         return None
     span = Span()
-    return rels[-1] >> 1, tuple(tag >> 1 for tag in rels[:-1] if span.add(tag >> 1))
+    return Coset(rels[-1] >> 1, tuple(tag >> 1 for tag in rels[:-1] if span.add(tag >> 1)), length)
 
 
 def rank(m: BitMatrix) -> int:
@@ -205,3 +207,10 @@ class Coset:
     def __iter__(self) -> Iterator[BitVec]:
         for bits in sorted(enumerate_coset(self.point, self.basis, len(self))):
             yield BitVec(bits, self.length)
+
+    def restrict(self, inside: int) -> Optional["Coset"]:
+        """The vectors of the coset supported on the coordinates set in
+        inside, from one affine_kernel pass; None when there are none."""
+        return affine_kernel(
+            (self.point & ~inside, self.point), [(b & ~inside, b) for b in self.basis], self.length
+        )

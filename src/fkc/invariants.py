@@ -9,13 +9,13 @@ Two computation routes coexist on purpose:
   they stay cheap on tensor products.  The test runs on the complex's
   cached probe (FormalComplex.h0_probe), so every query on one complex
   shares one elimination of d_0.
-* g0 / g_next / g_tower / hom_generators / upsilon2 enumerate a coset of
-  chains (the homological generators, or a tower level's preimages)
-  through one sweep whose hard cap is the only cap check, and key each
-  chain by the corners of its region.  Every realizer set of the tower
-  and each one-sided family of upsilon2 is that coset cut down to the
-  chains on a set of positions, F ∩ coord(R) = x + span(L): one
-  gf2.affine_kernel pass gives it as a gf2.Coset, and pairs of them are
+* g0 / g_next / g_tower / hom_generators / upsilon2 enumerate a
+  gf2.Coset of chains (the homological generators h0_probe.generators, or
+  a tower level's preimages) through one sweep whose hard cap is the only
+  cap check; the sweep only keys each chain by the corners of its region.
+  Every realizer set of the tower and each one-sided family of upsilon2
+  is that coset cut down to the chains on a set of basis coordinates,
+  F ∩ coord(R) = x + span(L), by Coset.restrict, and pairs of them are
   handled by linear algebra instead of forming every pair.
 
 The *_from_g0 functions evaluate the same invariants from a G0 region set
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .complexes import (
     FormalComplex,
@@ -69,44 +69,42 @@ class _Sweep:
     above bit `width`.  The first set bit of the copy is a corner of the
     chain's region; clearing the points it dominates leaves the next one,
     so each chain is keyed by its corners in one step per corner.  A corner
-    is named by the first sweep position with its support point (basis
+    is named by the first basis index with its support point (basis
     elements can share one), so keys and regions correspond one to one.
     """
 
     def __init__(self, c: FormalComplex, n: int):
-        pts = [c.support(el) for el in c.graded_basis(n)]
-        self.width = len(pts)
-        order = sorted(range(self.width), key=lambda k: (-pts[k].i, -pts[k].j))
-        self.points = [pts[k] for k in order]
-        self._order = order
+        self.points = [c.support(el) for el in c.graded_basis(n)]
+        self.width = len(self.points)
+        order = sorted(range(self.width), key=lambda k: (-self.points[k].i, -self.points[k].j))
+        swept = [self.points[k] for k in order]
         self._position = {k: p for p, k in enumerate(order)}
         first: dict[Point, int] = {}
-        self._name = [first.setdefault(pt, p) for p, pt in enumerate(self.points)]
+        self._name = [first.setdefault(pt, k) for k, pt in zip(order, swept)]
         # The positions after p with a larger j than p's point: every other
         # later point has i and j at most p's, so p dominates it.
         with_j: dict[int, int] = {}
-        for p, pt in enumerate(self.points):
+        for p, pt in enumerate(swept):
             with_j[pt.j] = with_j.get(pt.j, 0) | 1 << p
         higher, acc = {}, 0
         for j in sorted(with_j, reverse=True):
             higher[j] = acc
             acc |= with_j[j]
-        self._undominated = [
-            higher[pt.j] >> (p + 1) << (p + 1) for p, pt in enumerate(self.points)
-        ]
+        self._undominated = [higher[pt.j] >> (p + 1) << (p + 1) for p, pt in enumerate(swept)]
         self._regions: dict[tuple[int, ...], ClosedRegion] = {}
 
     def _doubled(self, v: int) -> int:
         return v | sum(1 << (self.width + self._position[k]) for k in set_bits(v))
 
-    def keyed_chains(
-        self, x0: int, basis: Sequence[int], cap: int
-    ) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(chain, corner key) for each chain of x0 + span(basis), in
-        Gray-code order; EnumerationLimitError beyond cap chains."""
+    def keyed_chains(self, chains: Coset, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(chain, corner key) for each chain of the coset, in Gray-code
+        order; EnumerationLimitError beyond cap chains."""
         mask = (1 << self.width) - 1
         undominated, name = self._undominated, self._name
-        for w in enumerate_coset(self._doubled(x0), [self._doubled(b) for b in basis], cap):
+        doubled = enumerate_coset(
+            self._doubled(chains.point), [self._doubled(b) for b in chains.basis], cap
+        )
+        for w in doubled:
             key = []
             rest = w >> self.width
             while rest:
@@ -115,16 +113,9 @@ class _Sweep:
                 rest &= undominated[p]
             yield w & mask, tuple(key)
 
-    def keys(self, x0: int, basis: Sequence[int], cap: int) -> set[tuple[int, ...]]:
-        """The corner keys of the chains of x0 + span(basis)."""
-        return {key for _, key in self.keyed_chains(x0, basis, cap)}
-
-    def restrict(self, x0: int, basis: Sequence[int], positions: Iterable[int]) -> Coset:
-        """The chains of x0 + span(basis) supported on the given sweep
-        positions, which must hold at least one of them."""
-        inside = sum(1 << self._order[p] for p in positions)
-        x, cut = affine_kernel((x0 & ~inside, x0), [(b & ~inside, b) for b in basis])
-        return Coset(x, cut, self.width)
+    def keys(self, chains: Coset, cap: int) -> set[tuple[int, ...]]:
+        """The corner keys of the chains of the coset."""
+        return {key for _, key in self.keyed_chains(chains, cap)}
 
     def region(self, key: tuple[int, ...]) -> ClosedRegion:
         r = self._regions.get(key)
@@ -134,17 +125,15 @@ class _Sweep:
 
 
 def _minimal_realizers(
-    c: FormalComplex, n: int, x0: int, basis: Sequence[int], cap: int
+    c: FormalComplex, n: int, chains: Coset, cap: int
 ) -> dict[ClosedRegion, Coset]:
-    """Each subset-minimal region of the grading-n chains of x0 + span(basis)
-    with its realizers.  No chain region lies strictly inside a minimal R,
-    so the realizers of R are all the chains supported in R."""
+    """Each subset-minimal region of the grading-n chains of the coset with
+    its realizers.  No chain region lies strictly inside a minimal R, so the
+    realizers of R are all the chains supported in R."""
     sweep = _Sweep(c, n)
     return {
-        r: sweep.restrict(
-            x0, basis, [p for p, pt in enumerate(sweep.points) if r.contains_point(pt)]
-        )
-        for r in minimalize(map(sweep.region, sweep.keys(x0, basis, cap)))
+        r: chains.restrict(sum(1 << k for k, pt in enumerate(sweep.points) if r.contains_point(pt)))
+        for r in minimalize(map(sweep.region, sweep.keys(chains, cap)))
     }
 
 
@@ -163,11 +152,10 @@ def hom_generators(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[HomGe
     These are exactly z0 + b for b in the image of the grading-1 boundary,
     so the count is 2^dim(boundaries).
     """
-    probe = c.h0_probe
     sweep = _Sweep(c, 0)
     return tuple(
         HomGenerator(BitVec(v, sweep.width), sweep.region(key))
-        for v, key in sweep.keyed_chains(probe.z0, probe.boundary_basis, cap)
+        for v, key in sweep.keyed_chains(c.h0_probe.generators, cap)
     )
 
 
@@ -241,8 +229,7 @@ def g0(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[ClosedRegion, ...
 
 def level0_realizers(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> dict[ClosedRegion, Coset]:
     """Realizer sets gen_0(C; R) for every R in G0(C), in G0 order."""
-    probe = c.h0_probe
-    return _minimal_realizers(c, 0, probe.z0, probe.boundary_basis, cap)
+    return _minimal_realizers(c, 0, c.h0_probe.generators, cap)
 
 
 def g_next(
@@ -274,21 +261,21 @@ def g_next(
     d_prev = c.boundary_matrix(level - 1)
     z1, z2 = realizers[r1], realizers[r2]
     y = z1.point ^ z2.point
-    # the cycles y0 + span(rhs_dirs) of y + span(L1 u L2), then their
-    # preimage under d_here, with the rhs directions tagged 0
+    # the cycles of y + span(L1 u L2), then their preimage under d_here,
+    # with the cycles' directions tagged 0
     cycles = affine_kernel(
-        (d_prev.mul_vec(y), y), [(d_prev.mul_vec(v), v) for v in z1.basis + z2.basis]
+        (d_prev.mul_vec(y), y), [(d_prev.mul_vec(v), v) for v in z1.basis + z2.basis], z1.length
     )
     if cycles is None:
         return (), {}
-    y0, rhs_dirs = cycles
     chains = affine_kernel(
-        (y0, 0),
-        [(col, 1 << k) for k, col in enumerate(d_here.col_words)] + [(v, 0) for v in rhs_dirs],
+        (cycles.point, 0),
+        [(col, 1 << k) for k, col in enumerate(d_here.col_words)] + [(v, 0) for v in cycles.basis],
+        d_here.cols,
     )
     if chains is None:
         return (), {}
-    found = _minimal_realizers(c, level, *chains, cap)
+    found = _minimal_realizers(c, level, chains, cap)
     return tuple(found), found
 
 
@@ -432,21 +419,21 @@ def upsilon2(
     if not 0 <= s <= 2:
         raise ValueError("s must lie in [0, 2]")
     sweep = _Sweep(c, 0)
-    z0, basis = c.h0_probe.z0, c.h0_probe.boundary_basis
-    # (t-line value, support slope) per sweep position, times 2 * t.denominator and 2
+    gens = c.h0_probe.generators
+    # (t-line value, support slope) per basis element, times 2 * t.denominator and 2
     a, b = t.numerator, t.denominator
     marks = [((2 * b - a) * p.i + a * p.j, p.j - p.i) for p in sweep.points]
     # z+ minimizes (value, steepest active slope), z- (value, -shallowest)
     stats = {}
-    for key in sweep.keys(z0, basis, cap):
-        vals = [marks[p] for p in key]
+    for key in sweep.keys(gens, cap):
+        vals = [marks[k] for k in key]
         fz, steepest = max(vals)
         stats[key] = (fz, steepest), (fz, -min(sl for val, sl in vals if val == fz))
     right, left = (min(st[side] for st in stats.values()) for side in (0, 1))
-    # a chain is in z+ (z-) iff each of its points p has marks[p] <= right
+    # a chain is in z+ (z-) iff each of its basis elements k has marks[k] <= right
     # ((value, -slope) <= left); the families overlap iff x+ + x- is in L+ + L-
-    plus = sweep.restrict(z0, basis, [p for p, m in enumerate(marks) if m <= right])
-    minus = sweep.restrict(z0, basis, [p for p, (v, sl) in enumerate(marks) if (v, -sl) <= left])
+    plus = gens.restrict(sum(1 << k for k, m in enumerate(marks) if m <= right))
+    minus = gens.restrict(sum(1 << k for k, (v, sl) in enumerate(marks) if (v, -sl) <= left))
     span = Span(plus.basis + minus.basis)
     target = plus.point ^ minus.point
     if span.contains(target):

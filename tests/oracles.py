@@ -505,7 +505,7 @@ def oracle_upsilon2_enum(
     # (value on the t-line, support slope) of each grading-0 point
     marks = [(_line_value(p, t), Fraction(p.j - p.i, 2)) for p in pts0]
     stats = []
-    for v in enumerate_coset(probe.z0, probe.boundary_basis, cap):
+    for v in enumerate_coset(probe.generators.point, probe.generators.basis, cap):
         vals = [marks[i] for i in set_bits(v)]
         fz, steepest = max(vals)
         stats.append((v, fz, steepest, min(sl for val, sl in vals if val == fz)))
@@ -542,3 +542,40 @@ def oracle_upsilon2_enum(
         if any(span.contains(b) for b in sums):
             return -2 * (r - v_min)
     raise AssertionError("families never merge; H_0 classes must agree in the full complex")
+
+
+# ---------------------------------------------------------------------------
+# Filtered changes of basis: a move that must leave every invariant unchanged
+
+
+def filtered_basis_change(c: FormalComplex, k: int, l: int, m: int) -> FormalComplex:
+    """c with x_k replaced by x_k + U^m x_l.
+
+    Legal iff k != l, gr_l - 2m = gr_k and (alg_l - m, alex_l - m) <=
+    (alg_k, alex_k): the new generator keeps x_k's grading and filtration
+    levels, and the change is filtered both ways.  ValueError otherwise.
+    A chain's new coordinates become old ones under A, which flips bit l
+    wherever bit k is set; A is an involution, so the new differential on
+    generator bitmasks is A d A.
+    """
+    gk, gl = c.gens[k], c.gens[l]
+    if k == l or gl.gr - 2 * m != gk.gr or gl.alg - m > gk.alg or gl.alex - m > gk.alex:
+        raise ValueError(f"x_{k} -> x_{k} + U^{m} x_{l} is not a filtered change of basis")
+
+    def flip(bits):
+        return bits ^ (1 << l) if bits >> k & 1 else bits
+
+    cols = list(c.d_cols)
+    cols[k] ^= cols[l]
+    return FormalComplex(c.name, c.gens, tuple(flip(col) for col in cols))
+
+
+def legal_basis_changes(c: FormalComplex) -> list[tuple[int, int, int]]:
+    """Every (k, l, m) that filtered_basis_change accepts on c."""
+    out = []
+    for k, gk in enumerate(c.gens):
+        for l, gl in enumerate(c.gens):
+            m, odd = divmod(gl.gr - gk.gr, 2)
+            if k != l and not odd and gl.alg - m <= gk.alg and gl.alex - m <= gk.alex:
+                out.append((k, l, m))
+    return out

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fkc import catalog
@@ -205,6 +210,38 @@ def test_non_utf8_file_is_a_read_error(tmp_path, capsys):
     bad.write_bytes(b"\xff\xfe\x00")
     code, out, err = run(capsys, "validate", str(bad))
     assert (code, out, err) == (2, "", f"fkc: error: cannot read {bad}: not UTF-8 text\n")
+
+
+@pytest.mark.parametrize("cmd", ["validate", "invariants"])
+def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch, cmd):
+    plain = catalog.data_path("t2_3")
+    marked = tmp_path / "t2_3.fkc"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert run(capsys, cmd, str(marked)) == run(capsys, cmd, str(plain))
+    monkeypatch.setattr(catalog, "data_path", lambda name: marked)
+    assert catalog.load("t2_3") == parse(plain.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (("g0", "c2"), 0, "G0 = { {(0,1)}, {(1,0)} }\n", ""),
+        (("validate", "missing"), 2, "", "fkc: error: cannot read "),
+        (("g0", "t2_5", "--max-enum", "2"), 3, "", "fkc: error: enumeration requires 4 vectors"),
+    ],
+)
+def test_cli_subprocess(tmp_path, argv, code, out, err):
+    """The module entry point as a real process: exit code, stdout, and a
+    stderr that holds the error message and no traceback."""
+    files = {"c2": catalog.data_path("c2"), "t2_5": catalog.data_path("t2_5"),
+             "missing": tmp_path / "missing.fkc"}
+    args = [str(files.get(a, a)) for a in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "fkc.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert proc.stderr.startswith(err) and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -207,10 +207,29 @@ def test_affine_kernel_matches_brute_force(dirs, point):
             tag ^= dirs[k][1]
         if col == 0:
             want.add(tag)
-    got = affine_kernel(point, dirs)
+    got = affine_kernel(point, dirs, 5)
     if not want:
         assert got is None
         return
-    x, basis = got
+    x, basis = got.point, got.basis
     assert set(enumerate_coset(x, basis, cap=1 << len(basis))) == want
     assert len(want) == 1 << len(basis)
+
+
+@given(
+    st.lists(st.integers(0, 63), max_size=5),
+    st.integers(0, 63),
+    st.integers(0, 63),
+)
+def test_coset_restrict_matches_brute_force(dirs, point, inside):
+    span = Span()
+    basis = tuple(v for v in dirs if span.add(v))
+    coset = Coset(point, basis, 6)
+    want = {v for v in enumerate_coset(point, basis, len(coset)) if not v & ~inside}
+    got = coset.restrict(inside)
+    if not want:
+        assert got is None
+        return
+    assert got.length == 6
+    assert len(got) == len(want)
+    assert {v.bits for v in got} == want

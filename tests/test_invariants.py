@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fkc import catalog, complexes
 from fkc.complexes import FormalComplex, dual, genus, tensor
@@ -103,7 +104,7 @@ def test_probe_z0_matches_dense_rref(atoms):
     pool = list(atoms.values())
     pool += [tensor(a, b) for a, b in combinations_with_replacement(pool, 2)]
     for c in pool:
-        assert c.h0_probe.z0 == oracles.dense_z0(c), c.name
+        assert c.h0_probe.generators.point == oracles.dense_z0(c), c.name
 
 
 def _probe_queries(c):
@@ -160,6 +161,92 @@ def test_probe_shared_across_threads():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert results == [want] * 8
+
+
+def test_probe_test_agrees_with_generators_restrict(atoms):
+    """Two routes to "the region holds a homological generator": the probe's
+    rank test, and a Coset.restrict of z0 + im d_1 that is not None."""
+    pool = list(atoms.values())
+    pool += [tensor(a, b) for a, b in combinations_with_replacement(pool, 2)]
+    for c in pool:
+        probe, g = c.h0_probe, genus(c)
+        basis = c.graded_basis(0)
+        thresholds = [complexes.quadrant_thresholds(c, a, b)
+                      for a in range(-g - 1, g + 2) for b in range(-g - 1, g + 2)]
+        thresholds += [complexes.tau_region_thresholds(c, m) for m in range(-g - 1, g + 2)]
+        thresholds += [complexes.slanted_halfplane_thresholds(c, t, Fraction(s, 2))
+                       for t in SAMPLED_T for s in range(-2 * g - 2, 2 * g + 3)]
+        for th in thresholds:
+            inside = sum(1 << p for p, el in enumerate(basis) if el.upower >= th[el.gen_index])
+            assert probe.test(th) == (probe.generators.restrict(inside) is not None), (c.name, th)
+
+
+# -- filtered changes of basis --------------------------------------------------
+
+UPSILON2_POINTS = ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(3, 2)),
+                   (Fraction(3, 2), Fraction(0)))
+
+
+def _basis_change_pool():
+    """Atoms with a legal move, a few pairwise tensors, and sums with a
+    square at a small offset (some of which fail the symmetry check)."""
+    b = catalog.builders()
+    pool = {n: b[n] for n in ("c2", "c3", "c4", "fig8")}
+    for x, y in (("t2_3", "c2"), ("c2", "fig8"), ("t2_3", "t2_3_mirror"), ("t2_3", "t2_5")):
+        pool[f"{x}*{y}"] = tensor(b[x], b[y])
+    pool["c2*c2'"] = tensor(b["c2"], dual(b["c2"]))
+    for x, (i, j) in (("t2_3", (1, 1)), ("c2", (0, 1)), ("fig8", (-1, 0)), ("t2_5", (2, -2))):
+        square = catalog.square_stabilizer(Point(i, j))
+        pool[f"{x}+sq({i},{j})"] = complexes.direct_sum(b[x], square)
+    return pool
+
+
+BASIS_CHANGE_POOL = _basis_change_pool()
+
+
+def _invariants_of(c):
+    return (
+        complexes.validate(c).failed(),
+        nu_plus(c),
+        tau(c),
+        [v_k(c, k) for k in range(genus(c) + 1)],
+        [upsilon_at(c, t) for t in (0, Fraction(1, 2), 1, Fraction(3, 2), 2)],
+        g0(c),
+        g_tower(c, 4).region_sets(),
+        len(hom_generators(c)),
+        [upsilon2(c, t, s) for t, s in UPSILON2_POINTS],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_invariants_survive_filtered_basis_changes(data):
+    name = data.draw(st.sampled_from(sorted(BASIS_CHANGE_POOL)))
+    c = BASIS_CHANGE_POOL[name]
+    want = _invariants_of(c)
+    for _ in range(data.draw(st.integers(1, 4))):
+        c = oracles.filtered_basis_change(
+            c, *data.draw(st.sampled_from(oracles.legal_basis_changes(c)))
+        )
+    assert _invariants_of(c) == want
+
+
+def test_filtered_basis_changes_move_the_differential():
+    """Most single moves change d, and each keeps the structural axioms."""
+    changed = total = 0
+    for name, c in BASIS_CHANGE_POOL.items():
+        for move in oracles.legal_basis_changes(c):
+            d = oracles.filtered_basis_change(c, *move)
+            assert complexes.validate(d).structural_ok, (name, move)
+            changed += d.d_cols != c.d_cols
+            total += 1
+    assert 2 * changed > total
+    c2 = BASIS_CHANGE_POOL["c2"]
+    k, l, m = oracles.legal_basis_changes(c2)[0]
+    with pytest.raises(ValueError):
+        oracles.filtered_basis_change(c2, l, l, m)
+    with pytest.raises(ValueError):
+        oracles.filtered_basis_change(c2, k, l, m + 1)
 
 
 # -- nu+ ----------------------------------------------------------------------
