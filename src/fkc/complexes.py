@@ -19,13 +19,12 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice, takewhile
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .gf2 import BitMatrix, Coset, Span, rank, relations, set_bits
-from .region import ClosedRegion, Point
+from .region import Point
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
@@ -102,8 +101,18 @@ class FormalComplex:
     @cached_property
     def _boundary_by_parity(self) -> tuple[BitMatrix, BitMatrix]:
         """(from even, from odd): the differential from the even-graded
-        slices lands in the odd-graded ones and vice versa."""
+        slices lands in the odd-graded ones and vice versa.  ValueError
+        naming the first boundary entry that keeps the grading parity."""
         even, odd = self._parity_indices
+        same = [sum(1 << k for k in idx) for idx in (even, odd)]
+        for k, g in enumerate(self.gens):
+            bad = self.d_cols[k] & same[g.gr & 1]
+            if bad:
+                l = (bad & -bad).bit_length() - 1
+                raise ValueError(
+                    f"the complex fails the parity check: the boundary of {g.name}"
+                    f" has {self.gens[l].name}, of the same grading parity"
+                )
         pos = [0] * len(self.gens)
         for idx in (even, odd):
             for i, k in enumerate(idx):
@@ -381,25 +390,26 @@ class Subcomplex:
 
 
 class H0Probe:
-    """Tests whether a threshold subcomplex holds a homological generator,
-    a grading-0 cycle that is not a boundary.
+    """Tests whether a set of grading-0 basis positions holds a homological
+    generator, a cycle supported there that is not a boundary.
 
     Built once per complex (FormalComplex.h0_probe) and never changed
-    afterwards, so concurrent queries may share it.  generators is the
-    Coset z0 + im d_1 of all homological generators, with z0 the first
+    afterwards, so concurrent queries may share it.  points are the
+    support points of the grading-0 basis, and generators is the Coset
+    z0 + im d_1 of all homological generators, with z0 the first
     reduced-row-echelon kernel vector of d_0 outside the boundaries.
-    test(thresholds) is true iff generators.restrict to the subcomplex's
-    grading-0 coordinates is not None; the rank test is the faster route.
+    test(inside) takes the bitmask of positions that Coset.restrict takes
+    and is true iff generators.restrict(inside) is not None (H_0 = F, so
+    every such cycle lies in z0 + im d_1); the rank test is the faster
+    route.
     """
 
     def __init__(self, c: FormalComplex):
-        self._slice = tuple(
-            (el.gen_index, el.upower, col, 1 << i)
-            for i, (el, col) in enumerate(zip(c.graded_basis(0), c.boundary_matrix(0).col_words))
-        )
+        self.points = tuple(c.support(el) for el in c.graded_basis(0))
+        self._slice = tuple((col, 1 << i) for i, col in enumerate(c.boundary_matrix(0).col_words))
         self.boundaries = Span()
         basis = tuple(col for col in c.boundary_matrix(1).col_words if self.boundaries.add(col))
-        z0 = next(self._generators((col, tag) for _, _, col, tag in self._slice), 0)
+        z0 = next(self._generators(self._slice), 0)
         if not z0:
             raise ValueError("H_0 vanishes; the complex violates the axioms")
         self.generators = Coset(z0, basis, len(self._slice))
@@ -408,20 +418,13 @@ class H0Probe:
         """Cycles among the tagged d_0 columns that are not boundaries."""
         return (z for z in relations(columns) if self.boundaries.reduce(z))
 
-    def test(self, thresholds: Sequence[int]) -> bool:
-        """True iff the threshold subcomplex holds a cycle outside the boundaries."""
-        kept = ((col, tag) for k, l, col, tag in self._slice if l >= thresholds[k])
-        return next(self._generators(kept), 0) != 0
+    def test(self, inside: int) -> bool:
+        """True iff the positions set in inside hold a cycle outside the boundaries."""
+        return next(self._generators(pair for pair in self._slice if pair[1] & inside), 0) != 0
 
 
 def quadrant_thresholds(c: FormalComplex, a: int, b: int) -> tuple[int, ...]:
     return tuple(max(g.alg - a, g.alex - b) for g in c.gens)
-
-
-def region_thresholds(c: FormalComplex, r: ClosedRegion) -> tuple[int, ...]:
-    return tuple(
-        min(max(g.alg - p.i, g.alex - p.j) for p in r.corners) for g in c.gens
-    )
 
 
 def alg_halfplane_thresholds(c: FormalComplex, k: int) -> tuple[int, ...]:
@@ -432,30 +435,6 @@ def alg_halfplane_thresholds(c: FormalComplex, k: int) -> tuple[int, ...]:
 def alex_halfplane_thresholds(c: FormalComplex, l: int) -> tuple[int, ...]:
     """Thresholds of the subcomplex over {j <= l}."""
     return tuple(g.alex - l for g in c.gens)
-
-
-def slanted_halfplane_thresholds(
-    c: FormalComplex, t: Fraction, s: Fraction
-) -> tuple[int, ...]:
-    """Thresholds over {(1 - t/2) i + (t/2) j <= s} for rational t in [0,2]."""
-    # With t = p/q and s = a/b the threshold is
-    # ceil((b((2q - p) alg + p alex) - 2qa) / 2qb), in integers.
-    t, s = Fraction(t), Fraction(s)
-    p, q, a, b = t.numerator, t.denominator, s.numerator, s.denominator
-    den = 2 * q * b
-    return tuple(
-        -((2 * q * a - b * ((2 * q - p) * g.alg + p * g.alex)) // den) for g in c.gens
-    )
-
-
-def union_thresholds(*threshold_sets: Sequence[int]) -> tuple[int, ...]:
-    """Thresholds of a union of regions: elementwise minimum."""
-    return tuple(min(ts) for ts in zip(*threshold_sets))
-
-
-def tau_region_thresholds(c: FormalComplex, m: int) -> tuple[int, ...]:
-    """Thresholds over {i <= -1} union R_(0,m)."""
-    return union_thresholds(alg_halfplane_thresholds(c, -1), quadrant_thresholds(c, 0, m))
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +597,6 @@ def is_stabilizer(a: FormalComplex) -> bool:
     if not report.ok:
         raise ValueError(f"structural conditions fail: {', '.join(report.failed())}")
     return all(
-        Subcomplex(a, thresholds).homology() == ()
-        for thresholds in (tuple(g.alex for g in a.gens), tuple(g.alg for g in a.gens))
+        Subcomplex(a, thresholds_of(a, 0)).homology() == ()
+        for thresholds_of in (alex_halfplane_thresholds, alg_halfplane_thresholds)
     )

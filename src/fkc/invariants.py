@@ -8,7 +8,8 @@ Two computation routes coexist on purpose:
   scan the finitely many candidate regions.  No generator enumeration, so
   they stay cheap on tensor products.  The test runs on the complex's
   cached probe (FormalComplex.h0_probe), so every query on one complex
-  shares one elimination of d_0.
+  shares one elimination of d_0, and it takes the region as the bitmask
+  of the grading-0 positions inside it, the argument Coset.restrict takes.
 * g0 / g_next / g_tower / hom_generators / upsilon2 enumerate a
   gf2.Coset of chains (the homological generators h0_probe.generators, or
   a tower level's preimages) through one sweep whose hard cap is the only
@@ -17,6 +18,9 @@ Two computation routes coexist on purpose:
   is that coset cut down to the chains on a set of basis coordinates,
   F ∩ coord(R) = x + span(L), by Coset.restrict, and pairs of them are
   handled by linear algebra instead of forming every pair.
+
+Every cut is built by _mask from the support points, and the t-line
+values of Upsilon and Upsilon^2 are the exact ints of _t_marks.
 
 The *_from_g0 functions evaluate the same invariants from a G0 region set
 alone; the test suite checks all routes against each other.
@@ -27,18 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
-from .complexes import (
-    FormalComplex,
-    genus,
-    quadrant_thresholds,
-    region_thresholds,
-    slanted_halfplane_thresholds,
-    tau_region_thresholds,
-    tensor,
-    dual,
-)
+from .complexes import FormalComplex, genus, tensor, dual
 from .gf2 import BitVec, Coset, Span, affine_kernel, enumerate_coset, set_bits
 from .region import ClosedRegion, Point, minimalize
 
@@ -47,6 +42,19 @@ DEFAULT_ENUM_CAP = 1 << 22
 INFINITY = float("inf")
 
 Rational = Union[Fraction, int, str]
+
+
+def _mask(points: Iterable, member: Callable[..., bool]) -> int:
+    """Bitmask of the positions whose entry satisfies the predicate: the
+    argument of H0Probe.test and Coset.restrict."""
+    return sum(1 << k for k, p in enumerate(points) if member(p))
+
+
+def _t_marks(points: Iterable[Point], t: Fraction) -> list[int]:
+    """The t-line values (1 - t/2) i + (t/2) j of the points (Livingston),
+    times 2 * t.denominator, as ints."""
+    a, b = t.numerator, t.denominator
+    return [(2 * b - a) * p.i + a * p.j for p in points]
 
 
 @dataclass(frozen=True)
@@ -132,7 +140,7 @@ def _minimal_realizers(
     realizers of R are all the chains supported in R."""
     sweep = _Sweep(c, n)
     return {
-        r: chains.restrict(sum(1 << k for k, pt in enumerate(sweep.points) if r.contains_point(pt)))
+        r: chains.restrict(_mask(sweep.points, r.contains_point))
         for r in minimalize(map(sweep.region, sweep.keys(chains, cap)))
     }
 
@@ -143,7 +151,8 @@ def _minimal_realizers(
 
 def contains_hom_generator(c: FormalComplex, region: ClosedRegion) -> bool:
     """True iff the subcomplex over the region contains a homological generator."""
-    return c.h0_probe.test(region_thresholds(c, region))
+    probe = c.h0_probe
+    return probe.test(_mask(probe.points, region.contains_point))
 
 
 def hom_generators(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[HomGenerator, ...]:
@@ -168,7 +177,7 @@ def nu_plus(c: FormalComplex) -> int:
     probe = c.h0_probe
     g = genus(c)
     for m in range(0, g + 1):
-        if probe.test(quadrant_thresholds(c, 0, m)):
+        if probe.test(_mask(probe.points, lambda p: p.i <= 0 and p.j <= m)):
             return m
     raise ValueError("no homological generator in {i <= 0}; the complex violates the axioms")
 
@@ -180,7 +189,7 @@ def v_k(c: FormalComplex, k: int) -> int:
     probe = c.h0_probe
     g = genus(c)
     for m in range(0, g + 1):
-        if probe.test(quadrant_thresholds(c, m, k + m)):
+        if probe.test(_mask(probe.points, lambda p: p.i <= m and p.j <= k + m)):
             return m
     raise ValueError("no homological generator in {i <= 0}; the complex violates the axioms")
 
@@ -190,13 +199,9 @@ def tau(c: FormalComplex) -> int:
     probe = c.h0_probe
     g = genus(c)
     for m in range(-g, g + 1):
-        if probe.test(tau_region_thresholds(c, m)):
+        if probe.test(_mask(probe.points, lambda p: p.i <= -1 or (p.i <= 0 and p.j <= m))):
             return m
     raise ValueError("tau exceeds the genus bound; the complex violates the axioms")
-
-
-def _line_value(p: Point, t: Fraction) -> Fraction:
-    return (1 - t / 2) * p.i + (t / 2) * p.j
 
 
 def upsilon_at(c: FormalComplex, t: Rational) -> Fraction:
@@ -205,17 +210,18 @@ def upsilon_at(c: FormalComplex, t: Rational) -> Fraction:
     if not 0 <= t <= 2:
         raise ValueError("t must lie in [0, 2]")
     probe = c.h0_probe
-    cands = sorted({_line_value(c.support(el), t) for el in c.graded_basis(0)})
+    marks = _t_marks(probe.points, t)
+    cands = sorted(set(marks))
     lo, hi = 0, len(cands) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if probe.test(slanted_halfplane_thresholds(c, t, cands[mid])):
+        if probe.test(_mask(marks, cands[mid].__ge__)):
             hi = mid
         else:
             lo = mid + 1
-    if not probe.test(slanted_halfplane_thresholds(c, t, cands[lo])):
+    if not probe.test(_mask(marks, cands[lo].__ge__)):
         raise ValueError("no homological generator found; the complex violates the axioms")
-    return -2 * cands[lo]
+    return Fraction(-cands[lo], t.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +427,7 @@ def upsilon2(
     sweep = _Sweep(c, 0)
     gens = c.h0_probe.generators
     # (t-line value, support slope) per basis element, times 2 * t.denominator and 2
-    a, b = t.numerator, t.denominator
-    marks = [((2 * b - a) * p.i + a * p.j, p.j - p.i) for p in sweep.points]
+    marks = [(v, p.j - p.i) for v, p in zip(_t_marks(sweep.points, t), sweep.points)]
     # z+ minimizes (value, steepest active slope), z- (value, -shallowest)
     stats = {}
     for key in sweep.keys(gens, cap):
@@ -432,29 +437,29 @@ def upsilon2(
     right, left = (min(st[side] for st in stats.values()) for side in (0, 1))
     # a chain is in z+ (z-) iff each of its basis elements k has marks[k] <= right
     # ((value, -slope) <= left); the families overlap iff x+ + x- is in L+ + L-
-    plus = gens.restrict(sum(1 << k for k, m in enumerate(marks) if m <= right))
-    minus = gens.restrict(sum(1 << k for k, (v, sl) in enumerate(marks) if (v, -sl) <= left))
+    plus = gens.restrict(_mask(marks, right.__ge__))
+    minus = gens.restrict(_mask(marks, lambda m: (m[0], -m[1]) <= left))
     span = Span(plus.basis + minus.basis)
     target = plus.point ^ minus.point
     if span.contains(target):
         return INFINITY
-    v_min = Fraction(right[0], 2 * b)
 
     # add the boundaries of the grading-1 points in the t-halfplane
     pts1 = [c.support(el) for el in c.graded_basis(1)]
     pending = []
-    for p, col in zip(pts1, c.boundary_matrix(1).col_words):
-        if _line_value(p, t) <= v_min:
+    for v, r, col in zip(_t_marks(pts1, t), _t_marks(pts1, s), c.boundary_matrix(1).col_words):
+        if v <= right[0]:
             span.add(col)
         else:
-            pending.append((_line_value(p, s), col))
+            pending.append((r, col))
     if span.contains(target):
         raise ValueError("upsilon^2 would be -infinity; the complex violates the axioms")
-    # the span changes only when a column joins, so r is a column's s-value
+    # the span changes only when a column joins, so r is a column's s-value;
+    # -2 (r - v_min), with both marks scaled back
     for r, col in sorted(pending):
         span.add(col)
         if span.contains(target):
-            return -2 * (r - v_min)
+            return Fraction(right[0], t.denominator) - Fraction(r, s.denominator)
     raise AssertionError("unreachable: x+ + x- lies in im d_1, and every d_1 column is in the span")
 
 

@@ -17,9 +17,9 @@ from itertools import chain
 from typing import Iterator, Optional, Union
 
 # used only by the test-only helpers and the referee at the end
-from fkc.complexes import FormalComplex, union_thresholds
+from fkc.complexes import FormalComplex
 from fkc.gf2 import BitMatrix, Span, enumerate_coset, relations, set_bits
-from fkc.invariants import DEFAULT_ENUM_CAP, INFINITY, Rational, _line_value
+from fkc.invariants import DEFAULT_ENUM_CAP, INFINITY, Rational
 
 MAX_EXHAUSTIVE = 1 << 20
 
@@ -196,6 +196,7 @@ def oracle_tau(c):
 
 
 def line_value(p, t):
+    """(1 - t/2) i + (t/2) j at the point p = (i, j), as a Fraction."""
     return (1 - Fraction(t) / 2) * p[0] + (Fraction(t) / 2) * p[1]
 
 
@@ -466,15 +467,15 @@ def kernel_basis(m: BitMatrix) -> list[int]:
     return list(relations(_unit_tagged(m)))
 
 
-def staircase_region_thresholds(c: FormalComplex, g: int) -> tuple[int, ...]:
-    """Thresholds over the staircase region: union of R_(-g+n,-n) for 0 <= n <= g."""
-    return union_thresholds(*(quadrant_thresholds(c, -g + n, -n) for n in range(g + 1)))
-
-
 def staircase_slice_has_hom_generator(c, g):
-    """Does the subcomplex over R^g (union of the staircase quadrants) hold
-    a homological generator?"""
-    return c.h0_probe.test(staircase_region_thresholds(c, g))
+    """Does the subcomplex over R^g, the union of the quadrants R_(-g+n,-n)
+    for 0 <= n <= g, hold a homological generator?"""
+    probe = c.h0_probe
+    inside = sum(
+        1 << k for k, p in enumerate(slice_points(c, 0))
+        if any(p[0] <= -g + n and p[1] <= -n for n in range(g + 1))
+    )
+    return probe.test(inside)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +502,9 @@ def oracle_upsilon2_enum(
     if not 0 <= s <= 2:
         raise ValueError("s must lie in [0, 2]")
     probe = c.h0_probe
-    pts0 = [c.support(el) for el in c.graded_basis(0)]
+    pts0 = slice_points(c, 0)
     # (value on the t-line, support slope) of each grading-0 point
-    marks = [(_line_value(p, t), Fraction(p.j - p.i, 2)) for p in pts0]
+    marks = [(line_value(p, t), Fraction(p[1] - p[0], 2)) for p in pts0]
     stats = []
     for v in enumerate_coset(probe.generators.point, probe.generators.basis, cap):
         vals = [marks[i] for i in set_bits(v)]
@@ -519,21 +520,21 @@ def oracle_upsilon2_enum(
         return INFINITY
 
     sums = sorted({a ^ b for a in z_minus for b in z_plus})
-    pts1 = [c.support(el) for el in c.graded_basis(1)]
+    pts1 = slice_points(c, 1)
     cols = c.boundary_matrix(1).col_words
     span = Span()
     pending = []
     for p, col in zip(pts1, cols):
-        if _line_value(p, t) <= v_min:
+        if line_value(p, t) <= v_min:
             span.add(col)
         else:
-            pending.append((_line_value(p, s), col))
+            pending.append((line_value(p, s), col))
     if any(span.contains(b) for b in sums):
         raise AssertionError(
             "connecting chain lies in the t-halfplane alone; upsilon^2 would be -infinity"
         )
     pending.sort()
-    cands = sorted({_line_value(p, s) for p in pts1 + pts0})
+    cands = sorted({line_value(p, s) for p in pts1 + pts0})
     idx = 0
     for r in cands:
         while idx < len(pending) and pending[idx][0] <= r:

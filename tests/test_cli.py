@@ -1,13 +1,17 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fkc import catalog
 from fkc.cli import main
-from fkc.complexes import parse, serialize, tensor
+from fkc.complexes import direct_sum, parse, serialize, tensor
+from fkc.region import Point
 
 
 @pytest.fixture()
@@ -344,3 +348,73 @@ def test_deterministic_output(data, capsys):
     first = run(capsys, "gtower", data["c4"], "--depth", "4")
     second = run(capsys, "gtower", data["c4"], "--depth", "4")
     assert first == second
+
+
+# -- fuzzed CLI boundary ---------------------------------------------------------
+
+FUZZ_COMMANDS = (
+    ("validate",),
+    ("invariants",),
+    ("invariants", "--force"),
+    ("upsilon",),
+    ("g0",),
+    ("gtower", "--depth", "3", "--max-enum", "16"),
+    ("upsilon2", "--t", "1", "--s", "1/2"),
+    ("stabilizer-check",),
+    ("dsurgery", "-p", "3", "-q", "2", "-i", "1"),
+)
+FUZZ_NAMES = ("a", "b", "x", "y", "z")
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def _random_lines(draw):
+    """gen lines, and d lines whose names are mostly declared ones."""
+    names = draw(st.lists(st.sampled_from(FUZZ_NAMES), min_size=1, max_size=5, unique=True))
+    lines = [f"gen {n} {draw(SMALL)} {draw(SMALL)} {draw(SMALL)}" for n in names]
+    known = st.sampled_from(names) | st.sampled_from(FUZZ_NAMES)
+    for src in draw(st.lists(known, max_size=4)):
+        targets = draw(st.lists(known, min_size=1, max_size=3))
+        lines.append(f"d {src} : {' '.join(targets)}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def _built_text(draw):
+    """A catalog atom plus a square at a small offset, or times a small atom."""
+    atoms = catalog.builders()
+    c = atoms[draw(st.sampled_from(sorted(atoms)))]
+    if draw(st.booleans()):
+        c = direct_sum(c, catalog.square_stabilizer(Point(draw(SMALL), draw(SMALL))))
+    else:
+        c = tensor(c, atoms[draw(st.sampled_from(("unknot", "t2_3", "t2_3_mirror", "c2", "fig8")))])
+    return serialize(c)
+
+
+@st.composite
+def fkc_texts(draw):
+    text = draw(st.one_of(_random_lines(), _built_text()))
+    if draw(st.integers(0, 3)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=20, deadline=None)
+@given(text=fkc_texts())
+def test_fuzzed_files_end_in_a_documented_exit_code(tmp_path_factory, text):
+    """Every input ends in exit 0, 1, 2 or 3 without an escaping exception,
+    and a second run prints the same stdout."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.fkc"
+    path.write_text(text, encoding="utf-8")
+    for cmd, *opts in FUZZ_COMMANDS:
+        argv = [cmd, str(path), *opts]
+        first = _run_quiet(argv)
+        assert first[0] in (0, 1, 2, 3), (argv, text)
+        assert _run_quiet(argv) == first, (argv, text)

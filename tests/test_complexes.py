@@ -326,6 +326,30 @@ def test_boundary_matrix_square():
     assert d1.col_words[1] == 0
 
 
+PARITY_BROKEN = (
+    # the boundary targets have no index in the other parity's slice
+    ("gen a 0 0 0\ngen b 0 0 0\ngen c 0 0 0\nd a : b\n", "boundary of a has b"),
+    # both even generators would take the odd ones' indices, silently
+    ("gen a 0 0 0\ngen b 0 0 0\ngen x 1 0 0\ngen y 1 0 0\nd x : y\n", "boundary of x has y"),
+)
+
+
+@pytest.mark.parametrize("text, pair", PARITY_BROKEN)
+def test_parity_broken_complex_has_no_boundary_matrix(text, pair):
+    c = parse(text)
+    assert validate(c).failed()[0] == "parity"
+    message = f"fails the parity check: the {pair}"
+    for build in (
+        lambda: c.boundary_matrix(0),
+        lambda: c.boundary_matrix(1),
+        lambda: c.homology_dim(0),
+        lambda: c.h0_probe,
+        lambda: Subcomplex(c, quadrant_thresholds(c, 0, 0)).homology(),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 def test_boundary_matrix_matches_dense_oracle():
     for c in (catalog.cn(3), catalog.figure_eight_model()):
         for n in (0, 1):

@@ -163,22 +163,54 @@ def test_probe_shared_across_threads():
     assert results == [want] * 8
 
 
+def _positions(values, member):
+    """Bitmask of the positions whose value satisfies member."""
+    return sum(1 << k for k, v in enumerate(values) if member(v))
+
+
 def test_probe_test_agrees_with_generators_restrict(atoms):
     """Two routes to "the region holds a homological generator": the probe's
-    rank test, and a Coset.restrict of z0 + im d_1 that is not None."""
+    rank test, and a Coset.restrict of z0 + im d_1 that is not None, on the
+    masks of quadrants, tau regions and slanted half-planes."""
     pool = list(atoms.values())
     pool += [tensor(a, b) for a, b in combinations_with_replacement(pool, 2)]
     for c in pool:
         probe, g = c.h0_probe, genus(c)
-        basis = c.graded_basis(0)
-        thresholds = [complexes.quadrant_thresholds(c, a, b)
-                      for a in range(-g - 1, g + 2) for b in range(-g - 1, g + 2)]
-        thresholds += [complexes.tau_region_thresholds(c, m) for m in range(-g - 1, g + 2)]
-        thresholds += [complexes.slanted_halfplane_thresholds(c, t, Fraction(s, 2))
-                       for t in SAMPLED_T for s in range(-2 * g - 2, 2 * g + 3)]
-        for th in thresholds:
-            inside = sum(1 << p for p, el in enumerate(basis) if el.upower >= th[el.gen_index])
-            assert probe.test(th) == (probe.generators.restrict(inside) is not None), (c.name, th)
+        pts = oracles.slice_points(c, 0)
+        masks = [_positions(pts, lambda p: p[0] <= a and p[1] <= b)
+                 for a in range(-g - 1, g + 2) for b in range(-g - 1, g + 2)]
+        masks += [_positions(pts, lambda p: p[0] <= -1 or (p[0] <= 0 and p[1] <= m))
+                  for m in range(-g - 1, g + 2)]
+        for t in SAMPLED_T:
+            doubled = [2 * oracles.line_value(p, t) for p in pts]
+            masks += [_positions(doubled, lambda v: v <= s) for s in range(-2 * g - 2, 2 * g + 3)]
+        for inside in masks:
+            assert probe.test(inside) == (probe.generators.restrict(inside) is not None), (
+                c.name, bin(inside))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_probe_test_agrees_with_generators_restrict_on_any_mask(atoms, data):
+    """H_0 = F, so every grading-0 cycle outside im d_1 lies in z0 + im d_1:
+    the two routes agree on every bitmask, not only on regions.  A mask is
+    a chain of the coset (or none), plus random positions, minus a few."""
+    names = st.sampled_from(sorted(atoms))
+    c = atoms[data.draw(names)]
+    if data.draw(st.booleans()):
+        c = tensor(c, atoms[data.draw(names)])
+    probe = c.h0_probe
+    gens, top = probe.generators, (1 << len(probe.points)) - 1
+    inside = 0
+    if data.draw(st.booleans()):
+        inside = gens.point
+        for b in gens.basis:
+            if data.draw(st.booleans()):
+                inside ^= b
+    inside |= data.draw(st.integers(0, top)) & data.draw(st.integers(0, top))
+    inside &= ~(data.draw(st.integers(0, top)) & data.draw(st.integers(0, top))
+                & data.draw(st.integers(0, top)))
+    assert probe.test(inside) == (gens.restrict(inside) is not None)
 
 
 # -- filtered changes of basis --------------------------------------------------
@@ -371,11 +403,15 @@ def test_upsilon_slope_is_minus_tau():
         assert upsilon(c).slope_at_zero() == -tau(c), name
 
 
-def test_upsilon_at_matches_full_function():
-    for c in (catalog.torus_staircase(2, True), catalog.cn(3)):
+def test_upsilon_at_matches_full_function(atoms):
+    """The probe route's int t-line is exact, also at large coprime denominators."""
+    pool = list(atoms.values())
+    pool += [tensor(a, b) for a, b in combinations_with_replacement(pool, 2)]
+    ts = SAMPLED_T + (Fraction(1, 7), Fraction(5, 13), Fraction(199, 100))
+    for c in pool:
         fn = upsilon(c)
-        for t in SAMPLED_T:
-            assert upsilon_at(c, t) == fn.value(t)
+        for t in ts:
+            assert upsilon_at(c, t) == fn.value(t), (c.name, t)
 
 
 def test_upsilon_at_matches_oracle():
@@ -718,7 +754,7 @@ def test_v_k_tensor_inequality():
 def test_g1_bounds_upsilon2():
     # the connecting-chain regions give an upper bound for little-upsilon2
     # at (t, s) = (1, 1); equality is not asserted
-    from fkc.invariants import _line_value
+    from oracles import line_value
 
     t = s = Fraction(1)
     for name in ("t2_3", "c2", "c3", "c4"):
@@ -731,7 +767,7 @@ def test_g1_bounds_upsilon2():
         ups_t = -upsilon_at(c, t) / 2
         stats = []
         for r in regions:
-            vals = [(_line_value(p, t), Fraction(p.j - p.i, 2)) for p in r.corners]
+            vals = [(line_value((p.i, p.j), t), Fraction(p.j - p.i, 2)) for p in r.corners]
             f = max(v for v, _ in vals)
             act = [sl for v, sl in vals if v == f]
             stats.append((r, f, max(act), min(act)))
@@ -747,10 +783,10 @@ def test_g1_bounds_upsilon2():
                     continue
                 g1_regions, _ = g_next(c, reals, (rm, rp), 1)
                 for reg in g1_regions:
-                    outside = [p for p in reg.corners if _line_value(p, t) > ups_t]
+                    outside = [p for p in reg.corners if line_value((p.i, p.j), t) > ups_t]
                     if not outside:
                         continue
-                    r_val = max(_line_value(p, s) for p in outside)
+                    r_val = max(line_value((p.i, p.j), s) for p in outside)
                     bound = r_val if bound is None else min(bound, r_val)
         assert bound is not None
         assert little_u2 <= bound, name
