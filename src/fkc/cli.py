@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -197,7 +198,9 @@ def _cmd_stabilizer_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fkc",
         description="Formal knot complexes: validation, invariants and constructions.",

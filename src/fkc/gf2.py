@@ -173,20 +173,24 @@ def rank(m: BitMatrix) -> int:
     return m.cols - sum(1 for _ in relations((col, 0) for col in m.col_words))
 
 
+def check_cap(basis: Sequence[int], cap: int) -> None:
+    """EnumerationLimitError (naming the required budget) when the
+    2^len(basis) vectors of a coset with this basis exceed cap."""
+    if 1 << len(basis) > cap:
+        raise EnumerationLimitError(1 << len(basis), cap)
+
+
 def enumerate_coset(x0: int, basis: Sequence[int], cap: int) -> Iterator[int]:
     """Yield all 2^len(basis) vectors of x0 + span(basis), each exactly once.
 
     Gray-code order: consecutive vectors differ by one basis element.
-    Raises EnumerationLimitError (naming the required budget) when the
-    coset is larger than cap.  Callers must ensure basis independence for
-    the "exactly once" guarantee.
+    check_cap runs first.  Callers must ensure basis independence for the
+    "exactly once" guarantee.
     """
-    required = 1 << len(basis)
-    if required > cap:
-        raise EnumerationLimitError(required, cap)
+    check_cap(basis, cap)
     bits = x0
     yield bits
-    for i in range(1, required):
+    for i in range(1, 1 << len(basis)):
         bits ^= basis[(i & -i).bit_length() - 1]
         yield bits
 

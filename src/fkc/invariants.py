@@ -10,10 +10,14 @@ Two computation routes coexist on purpose:
   cached probe (FormalComplex.h0_probe), so every query on one complex
   shares one elimination of d_0, and it takes the region as the bitmask
   of the grading-0 positions inside it, the argument Coset.restrict takes.
-* g0 / g_next / g_tower / hom_generators / upsilon2 enumerate a
+* g0 / g_next / g_tower / upsilon / upsilon2 run the same test on a
   gf2.Coset of chains (the homological generators h0_probe.generators, or
-  a tower level's preimages) through one sweep whose hard cap is the only
-  cap check; the sweep only keys each chain by the corners of its region.
+  a tower level's preimages): the minimal regions come from one monotone
+  search over downsets of the support points, and the two one-sided
+  statistics of upsilon2 from two bisections of the probe, on
+  (value, slope) and (value, -slope), as upsilon_at bisects the values.
+  Only hom_generators enumerates, since it returns every chain, but all of
+  them keep the 2^k cap of that enumeration (gf2.check_cap).
   Every realizer set of the tower and each one-sided family of upsilon2
   is that coset cut down to the chains on a set of basis coordinates,
   F ∩ coord(R) = x + span(L), by Coset.restrict, and pairs of them are
@@ -31,11 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
-from .complexes import FormalComplex, genus, tensor, dual
-from .gf2 import BitVec, Coset, Span, affine_kernel, enumerate_coset, set_bits
-from .region import ClosedRegion, Point, minimalize
+from .complexes import FormalComplex, H0Probe, genus, tensor, dual
+from .gf2 import BitVec, Coset, Span, affine_kernel, check_cap, enumerate_coset, set_bits
+from .region import ClosedRegion, Point, closure
 
 DEFAULT_ENUM_CAP = 1 << 22
 
@@ -66,83 +70,55 @@ class HomGenerator:
 
 
 # ---------------------------------------------------------------------------
-# Support sweeps: region of a chain
-
-
-class _Sweep:
-    """Regions of the grading-n chains of a complex.
-
-    Chains of a coset are enumerated with a copy of their bits, permuted
-    into sweep order (support points by i descending, then j descending),
-    above bit `width`.  The first set bit of the copy is a corner of the
-    chain's region; clearing the points it dominates leaves the next one,
-    so each chain is keyed by its corners in one step per corner.  A corner
-    is named by the first basis index with its support point (basis
-    elements can share one), so keys and regions correspond one to one.
-    """
-
-    def __init__(self, c: FormalComplex, n: int):
-        self.points = [c.support(el) for el in c.graded_basis(n)]
-        self.width = len(self.points)
-        order = sorted(range(self.width), key=lambda k: (-self.points[k].i, -self.points[k].j))
-        swept = [self.points[k] for k in order]
-        self._position = {k: p for p, k in enumerate(order)}
-        first: dict[Point, int] = {}
-        self._name = [first.setdefault(pt, k) for k, pt in zip(order, swept)]
-        # The positions after p with a larger j than p's point: every other
-        # later point has i and j at most p's, so p dominates it.
-        with_j: dict[int, int] = {}
-        for p, pt in enumerate(swept):
-            with_j[pt.j] = with_j.get(pt.j, 0) | 1 << p
-        higher, acc = {}, 0
-        for j in sorted(with_j, reverse=True):
-            higher[j] = acc
-            acc |= with_j[j]
-        self._undominated = [higher[pt.j] >> (p + 1) << (p + 1) for p, pt in enumerate(swept)]
-        self._regions: dict[tuple[int, ...], ClosedRegion] = {}
-
-    def _doubled(self, v: int) -> int:
-        return v | sum(1 << (self.width + self._position[k]) for k in set_bits(v))
-
-    def keyed_chains(self, chains: Coset, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(chain, corner key) for each chain of the coset, in Gray-code
-        order; EnumerationLimitError beyond cap chains."""
-        mask = (1 << self.width) - 1
-        undominated, name = self._undominated, self._name
-        doubled = enumerate_coset(
-            self._doubled(chains.point), [self._doubled(b) for b in chains.basis], cap
-        )
-        for w in doubled:
-            key = []
-            rest = w >> self.width
-            while rest:
-                p = (rest & -rest).bit_length() - 1
-                key.append(name[p])
-                rest &= undominated[p]
-            yield w & mask, tuple(key)
-
-    def keys(self, chains: Coset, cap: int) -> set[tuple[int, ...]]:
-        """The corner keys of the chains of the coset."""
-        return {key for _, key in self.keyed_chains(chains, cap)}
-
-    def region(self, key: tuple[int, ...]) -> ClosedRegion:
-        r = self._regions.get(key)
-        if r is None:
-            r = self._regions[key] = ClosedRegion(tuple(map(self.points.__getitem__, key[::-1])))
-        return r
+# Region search: the minimal regions of a coset of chains
 
 
 def _minimal_realizers(
     c: FormalComplex, n: int, chains: Coset, cap: int
 ) -> dict[ClosedRegion, Coset]:
     """Each subset-minimal region of the grading-n chains of the coset with
-    its realizers.  No chain region lies strictly inside a minimal R, so the
-    realizers of R are all the chains supported in R."""
-    sweep = _Sweep(c, n)
-    return {
-        r: chains.restrict(_mask(sweep.points, r.contains_point))
-        for r in minimalize(map(sweep.region, sweep.keys(chains, cap)))
-    }
+    its realizers, in region order.
+
+    The minimal true sets of a monotone test (Gunopulos, Khardon, Mannila,
+    Toivonen 1997): a node is a downset of the support points, given as the
+    mask of the basis positions at its points, and it passes iff the coset
+    has a chain supported there (the H_0 probe at level 0, a cut above).
+    A passing node U loses its points from the top down while the test
+    holds, which leaves a minimal passing downset D, the points of one
+    minimal region.  Any other one misses a corner p of D, so it lies in
+    U minus the points above p, and those nodes are searched next.  The
+    whole slice passes untested.  No chain region lies strictly inside a
+    minimal R, so the realizers of R are all the chains supported in R.
+    """
+    check_cap(chains.basis, cap)
+    test = c.h0_probe.test if n == 0 else lambda inside: chains.restrict(inside) is not None
+    basis = c.graded_basis(n)
+    at: dict[Point, int] = {}  # the positions at each support point
+    for k, el in enumerate(basis):
+        p = c.support(el)
+        at[p] = at.get(p, 0) | 1 << k
+    top_down = sorted(at, reverse=True)
+    full = (1 << len(basis)) - 1
+    found: dict[ClosedRegion, int] = {}
+    work, seen = [full], {full}
+    while work:
+        u = work.pop()
+        if u != full and not test(u):
+            continue
+        d, corners = u, []
+        for p in top_down:
+            if at[p] & d and not any(p.leq(q) for q in corners):
+                if test(d & ~at[p]):
+                    d &= ~at[p]
+                else:
+                    corners.append(p)
+        found[ClosedRegion(tuple(sorted(corners)))] = d
+        for p in corners:
+            rest = u & ~sum(m for q, m in at.items() if p.leq(q))
+            if rest not in seen:
+                seen.add(rest)
+                work.append(rest)
+    return {r: chains.restrict(found[r]) for r in sorted(found)}
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +135,16 @@ def hom_generators(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[HomGe
     """The full finite set of homological generators with their regions.
 
     These are exactly z0 + b for b in the image of the grading-1 boundary,
-    so the count is 2^dim(boundaries).
+    so the count is 2^dim(boundaries).  Equal regions are one object.
     """
-    sweep = _Sweep(c, 0)
-    return tuple(
-        HomGenerator(BitVec(v, sweep.width), sweep.region(key))
-        for v, key in sweep.keyed_chains(c.h0_probe.generators, cap)
-    )
+    probe = c.h0_probe
+    gens = probe.generators
+    shared: dict[ClosedRegion, ClosedRegion] = {}
+    out = []
+    for v in enumerate_coset(gens.point, gens.basis, cap):
+        r = closure(map(probe.points.__getitem__, set_bits(v)))
+        out.append(HomGenerator(BitVec(v, gens.length), shared.setdefault(r, r)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -204,24 +183,30 @@ def tau(c: FormalComplex) -> int:
     raise ValueError("tau exceeds the genus bound; the complex violates the axioms")
 
 
+def _least(probe: H0Probe, keys: list) -> Optional[Any]:
+    """The least key k whose cut, the positions with key <= k, passes the
+    probe; None when none does.  Bisection over the distinct keys."""
+    cands = sorted(set(keys))
+    lo, hi = 0, len(cands)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if probe.test(_mask(keys, cands[mid].__ge__)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return cands[lo] if lo < len(cands) else None
+
+
 def upsilon_at(c: FormalComplex, t: Rational) -> Fraction:
     """Exact value of Upsilon at one rational t in [0, 2]."""
     t = Fraction(t)
     if not 0 <= t <= 2:
         raise ValueError("t must lie in [0, 2]")
     probe = c.h0_probe
-    marks = _t_marks(probe.points, t)
-    cands = sorted(set(marks))
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if probe.test(_mask(marks, cands[mid].__ge__)):
-            hi = mid
-        else:
-            lo = mid + 1
-    if not probe.test(_mask(marks, cands[lo].__ge__)):
+    least = _least(probe, _t_marks(probe.points, t))
+    if least is None:
         raise ValueError("no homological generator found; the complex violates the axioms")
-    return Fraction(-cands[lo], t.denominator)
+    return Fraction(-least, t.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +236,7 @@ def g_next(
     z1, z2 are realizers of the two chosen regions of level n-1.  For
     n >= 2 only realizer pairs with equal boundary are admissible (at
     level 1 the realizers are cycles, so the constraint is vacuous).
-    Returns the minimalized region set, which may be empty for n >= 2,
+    Returns the minimal region set, which may be empty for n >= 2,
     together with all realizers of each surviving region.
 
     With the realizer sets x1 + span(L1) and x2 + span(L2), the admissible
@@ -413,10 +398,11 @@ def upsilon2(
     the left family z- maximizes the shallowest (the left derivative); the
     exact one-sided derivatives stand in for a small offset of t.  For
     0 < t < 2 the t-line value rises in i and in j, so the active points
-    are corners and each corner key is scored once.  Each family is
-    z0 + im d_1 cut down to a coordinate set, an affine space x + L, so a
-    connecting chain exists iff x+ + x- lies in the span of L+, L- and the
-    allowed grading-1 boundaries.  ValueError if upsilon^2 would be
+    are corners, and each family's statistic is the least passing cut of
+    one bisection, on (value, slope) and on (value, -slope).  Each family
+    is z0 + im d_1 cut down to a coordinate set, an affine space x + L, so
+    a connecting chain exists iff x+ + x- lies in the span of L+, L- and
+    the allowed grading-1 boundaries.  ValueError if upsilon^2 would be
     -infinity, which the axioms rule out.
     """
     t, s = Fraction(t), Fraction(s)
@@ -424,21 +410,19 @@ def upsilon2(
         raise ValueError("t must lie strictly between 0 and 2")
     if not 0 <= s <= 2:
         raise ValueError("s must lie in [0, 2]")
-    sweep = _Sweep(c, 0)
-    gens = c.h0_probe.generators
-    # (t-line value, support slope) per basis element, times 2 * t.denominator and 2
-    marks = [(v, p.j - p.i) for v, p in zip(_t_marks(sweep.points, t), sweep.points)]
-    # z+ minimizes (value, steepest active slope), z- (value, -shallowest)
-    stats = {}
-    for key in sweep.keys(gens, cap):
-        vals = [marks[k] for k in key]
-        fz, steepest = max(vals)
-        stats[key] = (fz, steepest), (fz, -min(sl for val, sl in vals if val == fz))
-    right, left = (min(st[side] for st in stats.values()) for side in (0, 1))
-    # a chain is in z+ (z-) iff each of its basis elements k has marks[k] <= right
-    # ((value, -slope) <= left); the families overlap iff x+ + x- is in L+ + L-
-    plus = gens.restrict(_mask(marks, right.__ge__))
-    minus = gens.restrict(_mask(marks, lambda m: (m[0], -m[1]) <= left))
+    probe = c.h0_probe
+    gens = probe.generators
+    check_cap(gens.basis, cap)
+    # (t-line value, support slope) per basis element, times 2 * t.denominator
+    # and 2; z+ minimizes the largest (value, slope) on its support, z- the
+    # largest (value, -slope), so a chain is in z+ (z-) iff each of its keys
+    # is at most the least key whose cut passes the probe
+    keys = [(v, p.j - p.i) for v, p in zip(_t_marks(probe.points, t), probe.points)]
+    flipped = [(v, -slope) for v, slope in keys]
+    right, left = _least(probe, keys), _least(probe, flipped)
+    plus = gens.restrict(_mask(keys, right.__ge__))
+    minus = gens.restrict(_mask(flipped, left.__ge__))
+    # the families overlap iff x+ + x- is in L+ + L-
     span = Span(plus.basis + minus.basis)
     target = plus.point ^ minus.point
     if span.contains(target):

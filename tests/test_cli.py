@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fkc import catalog
+from fkc import catalog, cli
 from fkc.cli import main
 from fkc.complexes import direct_sum, parse, serialize, tensor
 from fkc.region import Point
@@ -348,6 +349,23 @@ def test_deterministic_output(data, capsys):
     first = run(capsys, "gtower", data["c4"], "--depth", "4")
     second = run(capsys, "gtower", data["c4"], "--depth", "4")
     assert first == second
+
+
+def test_main_builds_the_parser_once(data, capsys, monkeypatch):
+    # the parser is cached per process, and a usage error leaves it usable
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert run(capsys, "g0", data["c2"]) == (0, "G0 = { {(0,1)}, {(1,0)} }\n", "")
+    assert run(capsys, "g0", data["c2"], "--depth", "1")[0] == 2
+    assert run(capsys, "upsilon2", data["t2_3"], "--t", "1", "--s", "1")[0] == 0
+    assert built.count("fkc") == 1
 
 
 # -- fuzzed CLI boundary ---------------------------------------------------------

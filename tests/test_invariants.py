@@ -32,7 +32,7 @@ from fkc.invariants import (
     v_k,
     v_k_from_g0,
 )
-from fkc.region import ClosedRegion, Point, closure, quadrant
+from fkc.region import ClosedRegion, Point, closure, minimalize, quadrant
 
 import oracles
 
@@ -550,6 +550,80 @@ def test_g0_minimality():
             assert any(subset(m, hg.region) for m in mins)
 
 
+@pytest.fixture(scope="module")
+def search_pool(atoms):
+    """The atoms, their pairwise tensors with and without a dual factor,
+    and c1-c12, as far as k = dim im d_1 <= 12."""
+    pool = list(atoms.values())
+    for a, b in combinations_with_replacement(atoms.values(), 2):
+        pool += [tensor(a, b), tensor(a, dual(b))]
+    pool += [catalog.cn(n) for n in range(1, 13)]
+    return [c for c in pool if len(c.h0_probe.generators.basis) <= 12]
+
+
+@pytest.fixture(scope="module")
+def big_rungs():
+    """Two products with k = 90 and 102, far beyond any enumeration cap,
+    each with its factors."""
+    t25, t27 = (catalog.torus_staircase(g, False) for g in (2, 3))
+    c4 = catalog.cn(4)
+    rungs = {"t2_7^3": [t27, t27, t27], "c4 c4* t2_5": [c4, dual(c4), t25]}
+    return {name: (fs, tensor(tensor(fs[0], fs[1]), fs[2])) for name, fs in rungs.items()}
+
+
+BIG_CAP = 1 << 128
+
+
+def test_g0_search_matches_enumeration(search_pool):
+    for c in search_pool:
+        by_region: dict[ClosedRegion, list[int]] = {}
+        for h in hom_generators(c):
+            by_region.setdefault(h.region, []).append(h.vector.bits)
+        realizers = level0_realizers(c)
+        assert g0(c) == tuple(realizers) == minimalize(by_region)
+        for r, coset in realizers.items():
+            assert [z.bits for z in coset] == sorted(by_region[r])
+
+
+def _lowered(r: ClosedRegion, corner: Point) -> ClosedRegion:
+    """The largest region inside r that misses the corner."""
+    rest = [p for p in r.corners if p != corner]
+    return closure(rest + [Point(corner.i - 1, corner.j), Point(corner.i, corner.j - 1)])
+
+
+def test_g0_on_big_rungs(big_rungs):
+    for factors, c in big_rungs.values():
+        regions = g0(c, cap=BIG_CAP)
+        assert tau_from_g0(regions) == tau(c) == sum(map(tau, factors))
+        assert nu_plus_from_g0(regions) == nu_plus(c)
+        assert upsilon_from_g0(regions) == sum(map(upsilon, factors[1:]), upsilon(factors[0]))
+        for r in regions:
+            assert contains_hom_generator(c, r)
+            assert not any(contains_hom_generator(c, _lowered(r, p)) for p in r.corners)
+
+
+def test_default_cap_binds_on_big_rungs(big_rungs):
+    # the cap counts the 2^k chains of the coset, searched or not
+    _, c = big_rungs["t2_7^3"]
+    for call in (g0, upsilon, lambda c: upsilon2(c, 1, 1), lambda c: g_tower(c, 3), hom_generators):
+        with pytest.raises(EnumerationLimitError) as exc:
+            call(c)
+        assert exc.value.required == 2**90
+
+
+def test_g0_search_probe_tests_are_bounded(search_pool, big_rungs, monkeypatch):
+    # at most (|G0| + 1)(|P| + 1) probe tests, P the grading-0 support points
+    calls = []
+    real_test = complexes.H0Probe.test
+    monkeypatch.setattr(
+        complexes.H0Probe, "test", lambda probe, inside: calls.append(1) or real_test(probe, inside)
+    )
+    for c in search_pool + [c for _, c in big_rungs.values()]:
+        calls.clear()
+        regions = g0(c, cap=BIG_CAP)
+        assert 0 < len(calls) <= (len(regions) + 1) * (len(set(c.h0_probe.points)) + 1)
+
+
 def test_contains_hom_generator_formula():
     c = catalog.torus_staircase(1, False)
     assert contains_hom_generator(c, quadrant(0, 1))
@@ -636,9 +710,9 @@ def test_g_tower_unknot_stops_immediately():
     assert tower.stop_reason == "singleton"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 24, 40])
 def test_g_tower_cn(n):
-    tower = g_tower(catalog.cn(n), depth=n + 3)
+    tower = g_tower(catalog.cn(n), depth=n + 3, cap=1 << 64)
     expected = [(quadrant(0, 1), quadrant(1, 0))]
     expected += [(quadrant(k, k + 1), quadrant(k + 1, k)) for k in range(1, n)]
     expected += [(quadrant(n, n),)]

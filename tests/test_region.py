@@ -149,15 +149,16 @@ def test_minimalize_matches_pairwise_oracle(rs):
 
 def test_minimalize_compares_only_with_kept_regions(monkeypatch):
     # each input is compared only with the regions kept before it, so a
-    # call makes at most inputs x kept subset tests (g0(t2_21): 1,024
-    # distinct regions, 11 minimal; comparing all pairs makes about 10^6)
+    # call makes at most inputs x kept subset tests (the generator regions
+    # of t2_21: 1,024 distinct, 11 minimal; comparing all pairs makes about 10^6)
     c = catalog.torus_staircase(10, False)
-    inputs = len({h.region for h in hom_generators(c)})
+    regions = {h.region for h in hom_generators(c)}
     calls = []
     real_subset = region.subset
     monkeypatch.setattr(region, "subset", lambda r, s: calls.append(1) or real_subset(r, s))
-    kept = len(g0(c))
-    assert 0 < len(calls) <= inputs * kept
+    kept = len(minimalize(regions))
+    assert kept == len(g0(c))
+    assert 0 < len(calls) <= len(regions) * kept
 
 
 @given(regions)
