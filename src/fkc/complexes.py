@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice, takewhile
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .gf2 import BitMatrix, Coset, Span, rank, relations, set_bits
 from .region import Point
@@ -310,18 +310,7 @@ def genus(c: FormalComplex) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Region slices and threshold subcomplexes
-
-
-def region_slice(
-    c: FormalComplex, member: Callable[[Point], bool], n: int
-) -> tuple[LatticeElement, ...]:
-    """Grading-n lattice elements whose support point satisfies the predicate.
-
-    The predicate must cut out a downward-closed region; that is the
-    caller's responsibility.
-    """
-    return tuple(el for el in c.graded_basis(n) if member(c.support(el)))
+# Threshold subcomplexes
 
 
 @dataclass(frozen=True)

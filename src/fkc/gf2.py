@@ -4,18 +4,21 @@ Inside the package a vector is a plain int (bit i = coordinate i) and a
 matrix packs each column into one int.  BitVec, which adds the length, is
 built only where a vector leaves the library, in the results of the
 invariants; an affine space of vectors leaves it as a Coset, which yields
-its BitVecs ascending.  One left-to-right column reducer (`relations`)
-gives ranks and, through the tags it carries, the kernel vectors and
-preimages the invariants need; it keeps the first maximal independent set
-of columns, so those are the reduced-row-echelon ones and reproducible
-across runs.  `affine_kernel` puts the solutions of one inhomogeneous
-system through it as a Coset, and `Coset.restrict`, the one region cut,
-keeps a coset's vectors on a coordinate set with one such pass.
+its BitVecs lazily and ascending, at any dimension.  One left-to-right
+column reducer (`relations`) gives ranks and, through the tags it carries,
+the kernel vectors and preimages the invariants need; it keeps the first
+maximal independent set of columns, so those are the reduced-row-echelon
+ones and reproducible across runs.  `affine_kernel` puts the solutions of
+one inhomogeneous system through it as a Coset, and `Coset.restrict`, the
+one region cut, keeps a coset's vectors on a coordinate set with one such
+pass.  `check_cap` is the budget test of a caller that wants every vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -49,12 +52,6 @@ class BitVec:
     def __post_init__(self):
         if self.length < 0 or self.bits < 0 or self.bits >> self.length:
             raise ValueError("bits do not fit the declared length")
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(set_bits(self.bits))
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
 
 @dataclass(frozen=True)
@@ -180,26 +177,12 @@ def check_cap(basis: Sequence[int], cap: int) -> None:
         raise EnumerationLimitError(1 << len(basis), cap)
 
 
-def enumerate_coset(x0: int, basis: Sequence[int], cap: int) -> Iterator[int]:
-    """Yield all 2^len(basis) vectors of x0 + span(basis), each exactly once.
-
-    Gray-code order: consecutive vectors differ by one basis element.
-    check_cap runs first.  Callers must ensure basis independence for the
-    "exactly once" guarantee.
-    """
-    check_cap(basis, cap)
-    bits = x0
-    yield bits
-    for i in range(1, 1 << len(basis)):
-        bits ^= basis[(i & -i).bit_length() - 1]
-        yield bits
-
-
 @dataclass(frozen=True)
 class Coset:
     """The affine space point + span(basis) of GF(2) vectors of a fixed
-    length, basis independent; it iterates as BitVecs, ascending.  Two
-    Cosets compare equal only when their point and basis are equal."""
+    length, basis independent; it iterates as BitVecs, lazily and
+    ascending, with no cap.  Two Cosets compare equal only when their
+    point and basis are equal."""
 
     point: int
     basis: tuple[int, ...]
@@ -209,8 +192,27 @@ class Coset:
         return 1 << len(self.basis)
 
     def __iter__(self) -> Iterator[BitVec]:
-        for bits in sorted(enumerate_coset(self.point, self.basis, len(self))):
-            yield BitVec(bits, self.length)
+        # Echelon form keyed by the highest bit: XOR with r flips r's pivot
+        # and lower bits only, so min(v, v ^ r) clears r's pivot in v.  Each
+        # pivot is then set in exactly one row, and never in the point.
+        rows: list[int] = []
+        for b in self.basis:
+            for r in rows:
+                b = min(b, b ^ r)
+            rows = [min(r, r ^ b) for r in rows] + [b]
+        rows.sort()
+        v = self.point
+        for r in rows:
+            v = min(v, v ^ r)
+        # Count in binary over the pivots, ascending.  Where the counter's
+        # highest changed bit goes 0 -> 1, that row's pivot does too, and
+        # bits above the pivot that flips come only from rows whose
+        # coefficient does not change.  Step i flips the rows of i ^ (i - 1).
+        flips = list(accumulate(rows, xor))
+        yield BitVec(v, self.length)
+        for i in range(1, 1 << len(rows)):
+            v ^= flips[(i & -i).bit_length() - 1]
+            yield BitVec(v, self.length)
 
     def restrict(self, inside: int) -> Optional["Coset"]:
         """The vectors of the coset supported on the coordinates set in

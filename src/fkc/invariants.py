@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from .complexes import FormalComplex, H0Probe, genus, tensor, dual
-from .gf2 import BitVec, Coset, Span, affine_kernel, check_cap, enumerate_coset, set_bits
+from .gf2 import BitVec, Coset, Span, affine_kernel, check_cap, set_bits
 from .region import ClosedRegion, Point, closure
 
 DEFAULT_ENUM_CAP = 1 << 22
@@ -135,15 +135,18 @@ def hom_generators(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> tuple[HomGe
     """The full finite set of homological generators with their regions.
 
     These are exactly z0 + b for b in the image of the grading-1 boundary,
-    so the count is 2^dim(boundaries).  Equal regions are one object.
+    so the count is 2^dim(boundaries), checked against cap before any
+    vector.  They come out ascending in vector.bits; equal regions are one
+    object.
     """
     probe = c.h0_probe
     gens = probe.generators
+    check_cap(gens.basis, cap)
     shared: dict[ClosedRegion, ClosedRegion] = {}
     out = []
-    for v in enumerate_coset(gens.point, gens.basis, cap):
-        r = closure(map(probe.points.__getitem__, set_bits(v)))
-        out.append(HomGenerator(BitVec(v, gens.length), shared.setdefault(r, r)))
+    for v in gens:
+        r = closure(map(probe.points.__getitem__, set_bits(v.bits)))
+        out.append(HomGenerator(v, shared.setdefault(r, r)))
     return tuple(out)
 
 
@@ -241,7 +244,7 @@ def g_next(
 
     With the realizer sets x1 + span(L1) and x2 + span(L2), the admissible
     sums z1 + z2 are the cycles of x1 + x2 + span(L1 u L2), again an affine
-    space, and the solutions are its preimage, enumerated as one coset.
+    space, and the solutions are its preimage, cut as one coset.
     """
     r1, r2 = pair
     if r1 == r2:

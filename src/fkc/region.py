@@ -79,44 +79,6 @@ def closure(points: Iterable[Point]) -> ClosedRegion:
     return ClosedRegion(tuple(corners))
 
 
-def subset(r: ClosedRegion, s: ClosedRegion) -> bool:
-    """True iff r is contained in s: every corner of r lies below some corner of s."""
-    return all(s.contains_point(c) for c in r.corners)
-
-
-def minimalize(regions: Iterable[ClosedRegion]) -> tuple[ClosedRegion, ...]:
-    """The subset-minimal elements, deduplicated and canonically sorted.
-
-    Every input region contains some member of the output.  Regions are
-    visited by lattice area, clipped to the box above the lowest corner
-    coordinates, so a proper subset comes before its supersets and each
-    region is compared only with the minimal regions kept so far.
-    """
-    distinct = set(regions)
-    if not distinct:
-        return ()
-    lo_i = min(r.corners[0].i for r in distinct) - 1
-    lo_j = min(r.corners[-1].j for r in distinct) - 1
-
-    def area(r: ClosedRegion) -> int:
-        total, left = 0, lo_i
-        for c in r.corners:
-            total += (c.i - left) * (c.j - lo_j)
-            left = c.i
-        return total
-
-    keep: list[ClosedRegion] = []
-    for r in sorted(distinct, key=area):
-        if not any(subset(s, r) for s in keep):
-            keep.append(r)
-    return tuple(sorted(keep))
-
-
-def transpose(r: ClosedRegion) -> ClosedRegion:
-    """Swap the two coordinates (the filtration-reversal image of the region)."""
-    return closure(Point(c.j, c.i) for c in r.corners)
-
-
 def render_region_set(regions: Iterable[ClosedRegion]) -> str:
     """Canonical text form of a set of regions: `{ {(i,j),...}, ... }`."""
     parts = [r.render() for r in sorted(regions)]

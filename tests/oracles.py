@@ -16,9 +16,10 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Optional, Union
 
-# used only by the test-only helpers and the referee at the end
+# used only by the test-only helpers and the referee at the end, and for
+# the error type coset_vectors shares with the package
 from fkc.complexes import FormalComplex
-from fkc.gf2 import BitMatrix, Span, enumerate_coset, relations, set_bits
+from fkc.gf2 import BitMatrix, EnumerationLimitError, Span, relations, set_bits
 from fkc.invariants import DEFAULT_ENUM_CAP, INFINITY, Rational
 
 MAX_EXHAUSTIVE = 1 << 20
@@ -69,6 +70,19 @@ def all_chains(n_elements):
     if (1 << n_elements) > MAX_EXHAUSTIVE:
         raise RuntimeError("slice too large for exhaustive oracle")
     return range(1 << n_elements)
+
+
+def coset_vectors(point, basis, cap=MAX_EXHAUSTIVE):
+    """Every point + sum(c_k basis[k]) over all 0/1 coefficient tuples c,
+    one sum per tuple (each basis vector doubles the list), with the
+    package's EnumerationLimitError when the 2^len(basis) tuples exceed
+    cap."""
+    if 1 << len(basis) > cap:
+        raise EnumerationLimitError(1 << len(basis), cap)
+    out = [point]
+    for b in basis:
+        out += [v ^ b for v in out]
+    return out
 
 
 def hom_generator_bits(c):
@@ -437,6 +451,11 @@ def oracle_is_stabilizer(c):
 # Test-only helpers on the package's primitives (not independent oracles)
 
 
+def region_slice(c, member, n):
+    """Grading-n lattice elements whose support point satisfies the predicate."""
+    return tuple(el for el in c.graded_basis(n) if member(c.support(el)))
+
+
 def column_space_basis(m):
     """First maximal independent subset of the columns, in column order."""
     span = Span()
@@ -506,7 +525,7 @@ def oracle_upsilon2_enum(
     # (value on the t-line, support slope) of each grading-0 point
     marks = [(line_value(p, t), Fraction(p[1] - p[0], 2)) for p in pts0]
     stats = []
-    for v in enumerate_coset(probe.generators.point, probe.generators.basis, cap):
+    for v in coset_vectors(probe.generators.point, probe.generators.basis, cap):
         vals = [marks[i] for i in set_bits(v)]
         fz, steepest = max(vals)
         stats.append((v, fz, steepest, min(sl for val, sl in vals if val == fz)))

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from fkc import catalog
-from fkc.complexes import direct_sum, dual, genus, region_slice, reverse, tensor
+from fkc.complexes import direct_sum, dual, genus, reverse, tensor
 from fkc.invariants import (
     compare,
     d_surgery_delta,
@@ -401,22 +401,22 @@ def test_criterion_7h_slice_identities(pool):
                 for r1, r2 in pairs:
                     union = lambda p: r1.contains_point(p) or r2.contains_point(p)
                     for n in gradings:
-                        lhs = set(region_slice(c, union, n))
-                        rhs = set(region_slice(c, r1.contains_point, n)) | set(
-                            region_slice(c, r2.contains_point, n)
+                        lhs = set(oracles.region_slice(c, union, n))
+                        rhs = set(oracles.region_slice(c, r1.contains_point, n)) | set(
+                            oracles.region_slice(c, r2.contains_point, n)
                         )
                         chk.ok(lhs == rhs, (c.name, r1, r2, n))
                 g = genus(c)
                 for k in range(-2, 3):
                     for n in gradings:
-                        alg_half = set(region_slice(c, lambda p: p.i <= k, n))
+                        alg_half = set(oracles.region_slice(c, lambda p: p.i <= k, n))
                         quad = set(
-                            region_slice(c, quadrant(k, g + k).contains_point, n)
+                            oracles.region_slice(c, quadrant(k, g + k).contains_point, n)
                         )
                         chk.ok(alg_half == quad, (c.name, "i", k, n))
-                        alex_half = set(region_slice(c, lambda p: p.j <= k, n))
+                        alex_half = set(oracles.region_slice(c, lambda p: p.j <= k, n))
                         quad2 = set(
-                            region_slice(c, quadrant(g + k, k).contains_point, n)
+                            oracles.region_slice(c, quadrant(g + k, k).contains_point, n)
                         )
                         chk.ok(alex_half == quad2, (c.name, "j", k, n))
 

@@ -22,7 +22,6 @@ from fkc.complexes import (
     is_stabilizer,
     parse,
     quadrant_thresholds,
-    region_slice,
     reverse,
     serialize,
     tensor,
@@ -358,24 +357,24 @@ def test_boundary_matrix_matches_dense_oracle():
             assert list(m.col_words) == images
 
 
-# -- region slices ----------------------------------------------------------
+# -- region slices: graded_basis and support, through oracles.region_slice ---
 
 
 def test_region_slice_unknot_origin():
     u = catalog.unknot()
-    sl = region_slice(u, quadrant(0, 0).contains_point, 0)
+    sl = oracles.region_slice(u, quadrant(0, 0).contains_point, 0)
     assert sl == (LatticeElement(0, 0),)
 
 
 def test_region_slice_trefoil_origin_empty():
     t23 = catalog.torus_staircase(1, False)
-    assert region_slice(t23, quadrant(0, 0).contains_point, 0) == ()
+    assert oracles.region_slice(t23, quadrant(0, 0).contains_point, 0) == ()
 
 
 def test_region_slice_trefoil_halfplane():
     t23 = catalog.torus_staircase(1, False)
     half = lambda p: Fraction(p.i + p.j, 2) <= Fraction(1, 2)
-    sl = region_slice(t23, half, 0)
+    sl = oracles.region_slice(t23, half, 0)
     names = [t23.gens[el.gen_index].name for el in sl]
     assert names == ["a0'", "a1'"]
 

@@ -8,7 +8,7 @@ from fkc.gf2 import (
     EnumerationLimitError,
     Span,
     affine_kernel,
-    enumerate_coset,
+    check_cap,
     rank,
     set_bits,
 )
@@ -89,17 +89,16 @@ def test_kernel_parity():
 
 def test_enumerate_coset_empty_basis():
     x0 = 0b010
-    assert list(enumerate_coset(x0, [], cap=16)) == [x0]
+    assert [v.bits for v in Coset(x0, (), 3)] == [x0]
 
 
 def test_enumerate_coset_single():
-    out = set(enumerate_coset(0, [0b01], cap=16))
+    out = {v.bits for v in Coset(0, (0b01,), 2)}
     assert out == {0b00, 0b01}
 
 
 def test_enumerate_coset_pairwise_distinct():
-    basis = [0b010, 0b100]
-    out = list(enumerate_coset(0b001, basis, cap=16))
+    out = [v.bits for v in Coset(0b001, (0b010, 0b100), 3)]
     assert len(out) == 4 and len(set(out)) == 4
     assert all(v & 1 for v in out)
 
@@ -107,7 +106,7 @@ def test_enumerate_coset_pairwise_distinct():
 def test_enumerate_coset_cap():
     basis = [1 << i for i in range(5)]
     with pytest.raises(EnumerationLimitError) as exc:
-        list(enumerate_coset(0, basis, cap=16))
+        check_cap(basis, cap=16)
     assert exc.value.required == 32
     assert "32" in str(exc.value)
 
@@ -166,7 +165,7 @@ def test_kernel_vectors_annihilate(m):
 @given(matrices())
 def test_coset_count_over_kernel(m):
     basis = kernel_basis(m)
-    out = set(enumerate_coset(0, basis, cap=1 << 10))
+    out = set(oracles.coset_vectors(0, basis))
     assert len(out) == 1 << len(basis)
 
 
@@ -212,7 +211,7 @@ def test_affine_kernel_matches_brute_force(dirs, point):
         assert got is None
         return
     x, basis = got.point, got.basis
-    assert set(enumerate_coset(x, basis, cap=1 << len(basis))) == want
+    assert set(oracles.coset_vectors(x, basis)) == want
     assert len(want) == 1 << len(basis)
 
 
@@ -225,7 +224,7 @@ def test_coset_restrict_matches_brute_force(dirs, point, inside):
     span = Span()
     basis = tuple(v for v in dirs if span.add(v))
     coset = Coset(point, basis, 6)
-    want = {v for v in enumerate_coset(point, basis, len(coset)) if not v & ~inside}
+    want = {v for v in oracles.coset_vectors(point, basis) if not v & ~inside}
     got = coset.restrict(inside)
     if not want:
         assert got is None
@@ -233,3 +232,20 @@ def test_coset_restrict_matches_brute_force(dirs, point, inside):
     assert got.length == 6
     assert len(got) == len(want)
     assert {v.bits for v in got} == want
+
+
+@st.composite
+def cosets(draw):
+    """A point and an independent basis of vectors of length up to 10."""
+    length = draw(st.integers(0, 10))
+    vectors = st.integers(0, (1 << length) - 1)
+    span = Span()
+    basis = tuple(v for v in draw(st.lists(vectors, max_size=8)) if span.add(v))
+    return draw(vectors), basis, length
+
+
+@given(cosets())
+def test_coset_iterates_as_sorted_brute_force(coset):
+    point, basis, length = coset
+    got = [v.bits for v in Coset(point, basis, length)]
+    assert got == sorted(oracles.coset_vectors(point, basis))

@@ -1,20 +1,26 @@
 from hypothesis import given, strategies as st
 import pytest
 
-from fkc import catalog, region
-from fkc.invariants import g0, hom_generators
-from fkc.region import (
-    ClosedRegion,
-    Point,
-    closure,
-    minimalize,
-    quadrant,
-    render_region_set,
-    subset,
-    transpose,
-)
+from fkc.region import ClosedRegion, Point, closure, quadrant, render_region_set
 
 import oracles
+
+
+# The package keeps no region order or minimalization of its own: G0 comes
+# from a search.  The tests below check the referees of that search,
+# oracles.region_subset and oracles.minimal_regions, on corner tuples.
+
+
+def key(r: ClosedRegion):
+    return tuple((p.i, p.j) for p in r.corners)
+
+
+def subset(r: ClosedRegion, s: ClosedRegion) -> bool:
+    return oracles.region_subset(key(r), key(s))
+
+
+def minimal(regions):
+    return oracles.minimal_regions(key(r) for r in regions)
 
 
 def test_closure_drops_dominated():
@@ -50,29 +56,15 @@ def test_subset_two_corner_region():
 
 
 def test_minimalize_keeps_antichain():
-    out = minimalize([quadrant(0, 1), quadrant(1, 0)])
-    assert out == (quadrant(0, 1), quadrant(1, 0))
+    assert minimal([quadrant(0, 1), quadrant(1, 0)]) == [((0, 1),), ((1, 0),)]
 
 
 def test_minimalize_drops_superset():
-    assert minimalize([quadrant(0, 0), quadrant(1, 1)]) == (quadrant(0, 0),)
+    assert minimal([quadrant(0, 0), quadrant(1, 1)]) == [((0, 0),)]
 
 
 def test_minimalize_empty():
-    assert minimalize([]) == ()
-
-
-def test_transpose_quadrant():
-    assert transpose(quadrant(0, 1)) == quadrant(1, 0)
-
-
-def test_transpose_diagonal_fixed():
-    assert transpose(quadrant(3, 3)) == quadrant(3, 3)
-
-
-def test_transpose_symmetric_antichain():
-    r = closure([Point(-1, 0), Point(0, -1)])
-    assert transpose(r) == r
+    assert minimal([]) == []
 
 
 def test_render():
@@ -130,37 +122,10 @@ def test_subset_transitive(r, s, t):
 
 @given(st.lists(regions, max_size=6))
 def test_minimalize_output_antichain_and_covering(rs):
-    out = minimalize(rs)
+    out = [closure(Point(*p) for p in corners) for corners in minimal(rs)]
     for a in out:
         for b in out:
             if a != b:
                 assert not subset(a, b)
     for r in rs:
         assert any(subset(m, r) for m in out)
-
-
-@given(st.lists(regions, max_size=20))
-def test_minimalize_matches_pairwise_oracle(rs):
-    # with duplicates, and unions that contain two of the drawn regions
-    rs = rs + rs[::2] + [closure(a.corners + b.corners) for a, b in zip(rs, rs[1:])]
-    want = oracles.minimal_regions([[(p.i, p.j) for p in r.corners] for r in rs])
-    assert [tuple((p.i, p.j) for p in r.corners) for r in minimalize(rs)] == want
-
-
-def test_minimalize_compares_only_with_kept_regions(monkeypatch):
-    # each input is compared only with the regions kept before it, so a
-    # call makes at most inputs x kept subset tests (the generator regions
-    # of t2_21: 1,024 distinct, 11 minimal; comparing all pairs makes about 10^6)
-    c = catalog.torus_staircase(10, False)
-    regions = {h.region for h in hom_generators(c)}
-    calls = []
-    real_subset = region.subset
-    monkeypatch.setattr(region, "subset", lambda r, s: calls.append(1) or real_subset(r, s))
-    kept = len(minimalize(regions))
-    assert kept == len(g0(c))
-    assert 0 < len(calls) <= len(regions) * kept
-
-
-@given(regions)
-def test_transpose_involution(r):
-    assert transpose(transpose(r)) == r
