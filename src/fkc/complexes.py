@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import islice, takewhile
 from typing import Iterable, Iterator
 
-from .gf2 import BitMatrix, Coset, Span, rank, relations, set_bits
+from .gf2 import Coset, Span, rank, relations, set_bits
 from .region import Point
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
@@ -43,14 +43,6 @@ class Generator:
     gr: int
     alg: int
     alex: int
-
-
-@dataclass(frozen=True)
-class LatticeElement:
-    """U^upower x_{gen_index}: a basis element of one grading slice."""
-
-    gen_index: int
-    upower: int
 
 
 @dataclass(frozen=True)
@@ -89,17 +81,13 @@ class FormalComplex:
         odd = tuple(k for k, g in enumerate(self.gens) if g.gr % 2 != 0)
         return even, odd
 
-    def graded_basis(self, n: int) -> tuple[LatticeElement, ...]:
-        """Basis of the grading-n slice, in generator order."""
-        idx = self._parity_indices[n & 1]
-        return tuple(LatticeElement(k, (self.gens[k].gr - n) // 2) for k in idx)
-
-    def support(self, el: LatticeElement) -> Point:
-        g = self.gens[el.gen_index]
-        return Point(g.alg - el.upower, g.alex - el.upower)
+    def points(self, n: int) -> tuple[Point, ...]:
+        """Support points of the grading-n basis, in generator order."""
+        gens = [self.gens[k] for k in self._parity_indices[n & 1]]
+        return tuple(Point(g.alg - (g.gr - n) // 2, g.alex - (g.gr - n) // 2) for g in gens)
 
     @cached_property
-    def _boundary_by_parity(self) -> tuple[BitMatrix, BitMatrix]:
+    def _boundary_by_parity(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(from even, from odd): the differential from the even-graded
         slices lands in the odd-graded ones and vice versa.  ValueError
         naming the first boundary entry that keeps the grading parity."""
@@ -118,24 +106,23 @@ class FormalComplex:
             for i, k in enumerate(idx):
                 pos[k] = i
         return tuple(
-            BitMatrix.from_columns(
-                [sum(1 << pos[l] for l in set_bits(self.d_cols[k])) for k in cols], len(rows)
-            )
-            for cols, rows in ((even, odd), (odd, even))
+            tuple(sum(1 << pos[l] for l in set_bits(self.d_cols[k])) for k in cols)
+            for cols in (even, odd)
         )
 
-    def boundary_matrix(self, n: int) -> BitMatrix:
-        """Matrix of the differential from the grading-n slice to grading n-1.
+    def boundary_matrix(self, n: int) -> tuple[int, ...]:
+        """Column words of the differential from the grading-n slice to
+        grading n-1: bit r of entry c is the entry (r, c).
 
-        Columns follow graded_basis(n), rows follow graded_basis(n-1); the
-        matrix only depends on the parity of n because U is a chain iso.
+        Columns follow points(n), rows follow points(n-1); the matrix only
+        depends on the parity of n because U is a chain iso.
         """
         return self._boundary_by_parity[n & 1]
 
     def homology_dim(self, n: int) -> int:
         """dim H_n of the full complex (depends only on the parity of n)."""
-        basis = self.graded_basis(n)
-        return len(basis) - rank(self.boundary_matrix(n)) - rank(self.boundary_matrix(n + 1))
+        d = self.boundary_matrix(n)
+        return len(d) - rank(d) - rank(self.boundary_matrix(n + 1))
 
     @cached_property
     def h0_probe(self) -> "H0Probe":
@@ -347,7 +334,7 @@ class Subcomplex:
             span = Span()
             ranks = [0]
             for i in order:
-                span.add(d.col_words[i])
+                span.add(d[i])
                 ranks.append(span.dim)
             steps.append(([-tops[i] for i in order], ranks))
         return tuple(steps)
@@ -394,10 +381,10 @@ class H0Probe:
     """
 
     def __init__(self, c: FormalComplex):
-        self.points = tuple(c.support(el) for el in c.graded_basis(0))
-        self._slice = tuple((col, 1 << i) for i, col in enumerate(c.boundary_matrix(0).col_words))
+        self.points = c.points(0)
+        self._slice = tuple((col, 1 << i) for i, col in enumerate(c.boundary_matrix(0)))
         self.boundaries = Span()
-        basis = tuple(col for col in c.boundary_matrix(1).col_words if self.boundaries.add(col))
+        basis = tuple(col for col in c.boundary_matrix(1) if self.boundaries.add(col))
         z0 = next(self._generators(self._slice), 0)
         if not z0:
             raise ValueError("H_0 vanishes; the complex violates the axioms")

@@ -1,17 +1,18 @@
 """Exact linear algebra over GF(2) on int-packed bit vectors.
 
 Inside the package a vector is a plain int (bit i = coordinate i) and a
-matrix packs each column into one int.  BitVec, which adds the length, is
-built only where a vector leaves the library, in the results of the
-invariants; an affine space of vectors leaves it as a Coset, which yields
-its BitVecs lazily and ascending, at any dimension.  One left-to-right
-column reducer (`relations`) gives ranks and, through the tags it carries,
-the kernel vectors and preimages the invariants need; it keeps the first
-maximal independent set of columns, so those are the reduced-row-echelon
-ones and reproducible across runs.  `affine_kernel` puts the solutions of
-one inhomogeneous system through it as a Coset, and `Coset.restrict`, the
-one region cut, keeps a coset's vectors on a coordinate set with one such
-pass.  `check_cap` is the budget test of a caller that wants every vector.
+matrix is a tuple of column ints (bit r of column c = entry (r, c)).
+BitVec, which adds the length, is built only where a vector leaves the
+library, in the results of the invariants; an affine space of vectors
+leaves it as a Coset, which yields its BitVecs lazily and ascending, at
+any dimension.  One left-to-right column reducer (`relations`) gives ranks
+and, through the tags it carries, the kernel vectors and preimages the
+invariants need; it keeps the first maximal independent set of columns, so
+those are the reduced-row-echelon ones and reproducible across runs.
+`affine_kernel` puts the solutions of one inhomogeneous system through it
+as a Coset, and `Coset.restrict`, the one region cut, keeps a coset's
+vectors on a coordinate set with one such pass.  `check_cap` is the budget
+test of a caller that wants every vector.
 """
 
 from __future__ import annotations
@@ -54,34 +55,6 @@ class BitVec:
             raise ValueError("bits do not fit the declared length")
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """GF(2) matrix, one int per column (bit r of col_words[c] = entry (r, c))."""
-
-    rows: int
-    cols: int
-    col_words: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.col_words) != self.cols:
-            raise ValueError("column count mismatch")
-        if any(w < 0 or w >> self.rows for w in self.col_words):
-            raise ValueError("column word out of range")
-
-    @staticmethod
-    def from_columns(columns: Sequence[int], rows: int) -> "BitMatrix":
-        """Build from column bitmasks (bit r of columns[c] = entry (r, c))."""
-        return BitMatrix(rows, len(columns), tuple(columns))
-
-    def mul_vec(self, x: int) -> int:
-        if x < 0 or x >> self.cols:
-            raise ValueError("dimension mismatch")
-        out = 0
-        for c in set_bits(x):
-            out ^= self.col_words[c]
-        return out
-
-
 class Span:
     """Incrementally reduced span of GF(2) vectors (membership oracle)."""
 
@@ -93,11 +66,6 @@ class Span:
     @property
     def dim(self) -> int:
         return len(self._pivots)
-
-    @property
-    def basis(self) -> tuple[int, ...]:
-        """Independent reduced vectors spanning the space, one per pivot."""
-        return tuple(self._pivots.values())
 
     def reduce(self, bits: int) -> int:
         """Remainder of bits modulo the span; 0 iff bits lies in it."""
@@ -165,9 +133,9 @@ def affine_kernel(
     return Coset(rels[-1] >> 1, tuple(tag >> 1 for tag in rels[:-1] if span.add(tag >> 1)), length)
 
 
-def rank(m: BitMatrix) -> int:
-    """Dimension of the column space (= row space) over GF(2)."""
-    return m.cols - sum(1 for _ in relations((col, 0) for col in m.col_words))
+def rank(columns: Sequence[int]) -> int:
+    """Dimension of the span of the column words (= row rank) over GF(2)."""
+    return len(columns) - sum(1 for _ in relations((col, 0) for col in columns))
 
 
 def check_cap(basis: Sequence[int], cap: int) -> None:
@@ -187,9 +155,6 @@ class Coset:
     point: int
     basis: tuple[int, ...]
     length: int
-
-    def __len__(self) -> int:
-        return 1 << len(self.basis)
 
     def __iter__(self) -> Iterator[BitVec]:
         # Echelon form keyed by the highest bit: XOR with r flips r's pivot

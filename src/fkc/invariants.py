@@ -35,7 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Optional, Union
+from functools import reduce
+from operator import xor
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .complexes import FormalComplex, H0Probe, genus, tensor, dual
 from .gf2 import BitVec, Coset, Span, affine_kernel, check_cap, set_bits
@@ -92,13 +94,12 @@ def _minimal_realizers(
     """
     check_cap(chains.basis, cap)
     test = c.h0_probe.test if n == 0 else lambda inside: chains.restrict(inside) is not None
-    basis = c.graded_basis(n)
+    points = c.points(n)
     at: dict[Point, int] = {}  # the positions at each support point
-    for k, el in enumerate(basis):
-        p = c.support(el)
+    for k, p in enumerate(points):
         at[p] = at.get(p, 0) | 1 << k
     top_down = sorted(at, reverse=True)
-    full = (1 << len(basis)) - 1
+    full = (1 << len(points)) - 1
     found: dict[ClosedRegion, int] = {}
     work, seen = [full], {full}
     while work:
@@ -173,7 +174,10 @@ def v_k(c: FormalComplex, k: int) -> int:
     for m in range(0, g + 1):
         if probe.test(_mask(probe.points, lambda p: p.i <= m and p.j <= k + m)):
             return m
-    raise ValueError("no homological generator in {i <= 0}; the complex violates the axioms")
+    raise ValueError(
+        f"no homological generator in R_(m, {k} + m) for 0 <= m <= {g};"
+        " the complex violates the axioms"
+    )
 
 
 def tau(c: FormalComplex) -> int:
@@ -226,6 +230,11 @@ def level0_realizers(c: FormalComplex, cap: int = DEFAULT_ENUM_CAP) -> dict[Clos
     return _minimal_realizers(c, 0, c.h0_probe.generators, cap)
 
 
+def _image(columns: Sequence[int], x: int) -> int:
+    """The image of the chain x under the matrix with these column words."""
+    return reduce(xor, map(columns.__getitem__, set_bits(x)), 0)
+
+
 def g_next(
     c: FormalComplex,
     realizers: Mapping[ClosedRegion, Coset],
@@ -258,14 +267,14 @@ def g_next(
     # the cycles of y + span(L1 u L2), then their preimage under d_here,
     # with the cycles' directions tagged 0
     cycles = affine_kernel(
-        (d_prev.mul_vec(y), y), [(d_prev.mul_vec(v), v) for v in z1.basis + z2.basis], z1.length
+        (_image(d_prev, y), y), [(_image(d_prev, v), v) for v in z1.basis + z2.basis], z1.length
     )
     if cycles is None:
         return (), {}
     chains = affine_kernel(
         (cycles.point, 0),
-        [(col, 1 << k) for k, col in enumerate(d_here.col_words)] + [(v, 0) for v in cycles.basis],
-        d_here.cols,
+        [(col, 1 << k) for k, col in enumerate(d_here)] + [(v, 0) for v in cycles.basis],
+        len(d_here),
     )
     if chains is None:
         return (), {}
@@ -432,9 +441,9 @@ def upsilon2(
         return INFINITY
 
     # add the boundaries of the grading-1 points in the t-halfplane
-    pts1 = [c.support(el) for el in c.graded_basis(1)]
+    pts1 = c.points(1)
     pending = []
-    for v, r, col in zip(_t_marks(pts1, t), _t_marks(pts1, s), c.boundary_matrix(1).col_words):
+    for v, r, col in zip(_t_marks(pts1, t), _t_marks(pts1, s), c.boundary_matrix(1)):
         if v <= right[0]:
             span.add(col)
         else:

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Union
 # used only by the test-only helpers and the referee at the end, and for
 # the error type coset_vectors shares with the package
 from fkc.complexes import FormalComplex
-from fkc.gf2 import BitMatrix, EnumerationLimitError, Span, relations, set_bits
+from fkc.gf2 import EnumerationLimitError, Span, relations, set_bits
 from fkc.invariants import DEFAULT_ENUM_CAP, INFINITY, Rational
 
 MAX_EXHAUSTIVE = 1 << 20
@@ -452,38 +452,47 @@ def oracle_is_stabilizer(c):
 
 
 def region_slice(c, member, n):
-    """Grading-n lattice elements whose support point satisfies the predicate."""
-    return tuple(el for el in c.graded_basis(n) if member(c.support(el)))
+    """Grading-n positions whose support point satisfies the predicate."""
+    return tuple(k for k, p in enumerate(c.points(n)) if member(p))
 
 
-def column_space_basis(m):
+def image(columns, x):
+    """The image of the chain x under the matrix with these column words."""
+    out = 0
+    for c in set_bits(x):
+        out ^= columns[c]
+    return out
+
+
+def column_space_basis(columns):
     """First maximal independent subset of the columns, in column order."""
     span = Span()
-    return [col for col in m.col_words if span.add(col)]
+    return [col for col in columns if span.add(col)]
 
 
-def _unit_tagged(m: BitMatrix) -> Iterator[tuple[int, int]]:
-    return ((col, 1 << c) for c, col in enumerate(m.col_words))
+def _unit_tagged(columns) -> Iterator[tuple[int, int]]:
+    return ((col, 1 << c) for c, col in enumerate(columns))
 
 
-def solve(m: BitMatrix, b: int) -> Optional[int]:
-    """Some x with m·x = b, or None if b is outside the column space.
+def solve(columns, rows: int, b: int) -> Optional[int]:
+    """Some x with m·x = b for the matrix m with these column words and
+    row count, or None if b is outside the column space.
 
     Free variables are set to zero, so the particular solution is unique
     for a given matrix.
     """
-    if b < 0 or b >> m.rows:
+    if b < 0 or b >> rows:
         raise ValueError("right-hand side must fit the row count")
-    last = 1 << m.cols
-    for tag in relations(chain(_unit_tagged(m), ((b, last),))):
+    last = 1 << len(columns)
+    for tag in relations(chain(_unit_tagged(columns), ((b, last),))):
         if tag & last:
             return tag ^ last
     return None
 
 
-def kernel_basis(m: BitMatrix) -> list[int]:
+def kernel_basis(columns) -> list[int]:
     """Basis of {x : m·x = 0}, one vector per free column, ascending."""
-    return list(relations(_unit_tagged(m)))
+    return list(relations(_unit_tagged(columns)))
 
 
 def staircase_slice_has_hom_generator(c, g):
@@ -540,7 +549,7 @@ def oracle_upsilon2_enum(
 
     sums = sorted({a ^ b for a in z_minus for b in z_plus})
     pts1 = slice_points(c, 1)
-    cols = c.boundary_matrix(1).col_words
+    cols = c.boundary_matrix(1)
     span = Span()
     pending = []
     for p, col in zip(pts1, cols):

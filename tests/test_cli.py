@@ -145,6 +145,18 @@ def test_invariants_force_still_rejects_structural_failure(tmp_path, capsys):
     assert err.startswith("fkc: error:") and "parity" in err
 
 
+def test_invariants_force_reports_an_empty_scan(tmp_path, capsys):
+    # genus 0 and the one generator at (1, 1): no cut that nu+ scans holds it
+    bad = tmp_path / "high.fkc"
+    bad.write_text("gen x 0 1 1\n")
+    code, out, err = run(capsys, "invariants", str(bad), "--force")
+    assert code == 1 and out == ""
+    assert err == (
+        "fkc: error: no homological generator in {i <= 0};"
+        " the complex violates the axioms\n"
+    )
+
+
 def test_validate_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.fkc"
     empty.write_text("")

@@ -11,7 +11,6 @@ from fkc.complexes import (
     FkcParseError,
     FormalComplex,
     Generator,
-    LatticeElement,
     Subcomplex,
     alex_halfplane_thresholds,
     alg_halfplane_thresholds,
@@ -286,43 +285,44 @@ def test_reverse_unknot():
     assert reverse(catalog.unknot()).gens == catalog.unknot().gens
 
 
-# -- graded bases and boundary matrices -------------------------------------
+# -- slice points and boundary matrices -------------------------------------
 
 
-def test_graded_basis_unknot():
+def test_points_unknot():
     u = catalog.unknot()
-    assert u.graded_basis(0) == (LatticeElement(0, 0),)
-    assert u.graded_basis(1) == ()
+    assert u.points(0) == (Point(0, 0),)
+    assert u.points(1) == ()
+    # U^-1 x in grading 2 sits one step up the diagonal
+    assert u.points(2) == (Point(1, 1),)
 
 
-def test_graded_basis_c2_grading_zero():
+def test_points_c2_grading_zero():
     c = catalog.cn(2)
-    basis = c.graded_basis(0)
-    named = [(c.gens[el.gen_index].name, el.upower) for el in basis]
+    # x0, x'0 and U y, in generator order
+    named = [(c.gens[k].name, l) for k, l in oracles.slice_basis(c, 0)]
     assert named == [("x0", 0), ("x'0", 0), ("y", 1)]
+    assert c.points(0) == tuple(Point(*p) for p in oracles.slice_points(c, 0))
+    assert c.points(-2) == tuple(Point(p.i - 1, p.j - 1) for p in c.points(0))
 
 
 def test_boundary_matrix_unknot_zero():
     u = catalog.unknot()
-    for n in (-2, -1, 0, 1, 2):
-        assert all(w == 0 for w in u.boundary_matrix(n).col_words)
+    assert u.boundary_matrix(0) == u.boundary_matrix(-2) == (0,)
+    assert u.boundary_matrix(1) == u.boundary_matrix(-1) == ()
 
 
 def test_boundary_matrix_staircase():
     m = catalog.torus_staircase(1, mirror=True)
-    d0 = m.boundary_matrix(0)
     # columns a0, a1 each hit the single row b0
-    assert d0.rows == 1 and d0.cols == 2
-    assert d0.col_words == (0b1, 0b1)
+    assert m.boundary_matrix(0) == (0b1, 0b1)
+    assert len(m.points(-1)) == 1
 
 
 def test_boundary_matrix_square():
     sq = catalog.square_stabilizer()
-    d1 = sq.boundary_matrix(1)
     # columns: s11 then U^-1 s00; rows: s01, s10
-    assert d1.cols == 2 and d1.rows == 2
-    assert d1.col_words[0] == 0b11
-    assert d1.col_words[1] == 0
+    assert sq.boundary_matrix(1) == (0b11, 0)
+    assert len(sq.points(0)) == 2
 
 
 PARITY_BROKEN = (
@@ -353,17 +353,15 @@ def test_boundary_matrix_matches_dense_oracle():
     for c in (catalog.cn(3), catalog.figure_eight_model()):
         for n in (0, 1):
             images = oracles.boundary_images(c, n)
-            m = c.boundary_matrix(n)
-            assert list(m.col_words) == images
+            assert list(c.boundary_matrix(n)) == images
 
 
-# -- region slices: graded_basis and support, through oracles.region_slice ---
+# -- region slices: the positions of points(n), through oracles.region_slice -
 
 
 def test_region_slice_unknot_origin():
     u = catalog.unknot()
-    sl = oracles.region_slice(u, quadrant(0, 0).contains_point, 0)
-    assert sl == (LatticeElement(0, 0),)
+    assert oracles.region_slice(u, quadrant(0, 0).contains_point, 0) == (0,)
 
 
 def test_region_slice_trefoil_origin_empty():
@@ -375,8 +373,8 @@ def test_region_slice_trefoil_halfplane():
     t23 = catalog.torus_staircase(1, False)
     half = lambda p: Fraction(p.i + p.j, 2) <= Fraction(1, 2)
     sl = oracles.region_slice(t23, half, 0)
-    names = [t23.gens[el.gen_index].name for el in sl]
-    assert names == ["a0'", "a1'"]
+    basis = oracles.slice_basis(t23, 0)
+    assert [t23.gens[basis[k][0]].name for k in sl] == ["a0'", "a1'"]
 
 
 # -- degrees ----------------------------------------------------------------

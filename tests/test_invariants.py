@@ -72,7 +72,7 @@ def test_hom_generators_cn(n):
     minimal = level0_realizers(c)
     assert sorted(region_key(r) for r in minimal) == [((0, 1),), ((1, 0),)]
     for chains in minimal.values():
-        assert len(chains) == 1 and next(iter(chains)).bits.bit_count() == 1
+        assert chains.basis == () and next(iter(chains)).bits.bit_count() == 1
 
 
 def test_hom_generators_match_oracle():
@@ -115,7 +115,7 @@ def _probe_queries(c):
 
 def test_probe_reduces_full_d0_once(monkeypatch):
     c = tensor(catalog.cn(3), catalog.torus_staircase(2, mirror=True))
-    full_d0 = list(c.boundary_matrix(0).col_words)
+    full_d0 = list(c.boundary_matrix(0))
     reductions = []
     original = complexes.relations
 
@@ -379,6 +379,29 @@ def test_tau_matches_oracle():
         assert tau(c) == oracles.oracle_tau(c)
 
 
+# -- the scan bounds of nu+, V_k and tau ----------------------------------------
+# Each scans m over a range set by the genus g: nu+ and V_k over 0..g, tau
+# over -g..g.  One-generator complexes put the answer at the ends.
+
+
+def test_scans_raise_when_no_cut_in_range_passes():
+    # genus 0, and the one generator at (1, 1) lies outside every scanned cut
+    c = complexes.parse("gen x 0 1 1\n")
+    with pytest.raises(ValueError, match=r"no homological generator in \{i <= 0\}"):
+        nu_plus(c)
+    with pytest.raises(ValueError, match=r"in R_\(m, 0 \+ m\) for 0 <= m <= 0;"):
+        v_k(c, 0)
+    with pytest.raises(ValueError, match="tau exceeds the genus bound"):
+        tau(c)
+
+
+def test_scans_reach_both_ends_of_their_range():
+    low = complexes.parse("gen x 0 -2 1\n")  # genus 3
+    assert (tau(low), nu_plus(low), v_k(low, 1)) == (-3, 1, 0)
+    high = complexes.parse("gen x 0 0 3\n")  # genus 3
+    assert (tau(high), nu_plus(high), v_k(high, 0)) == (3, 3, 3)
+
+
 # -- Upsilon ------------------------------------------------------------------
 
 
@@ -447,7 +470,7 @@ def test_upsilon2_matches_oracle(atoms):
     pool += [tensor(a, b) for a, b in combinations_with_replacement(pool, 2)]
     cases = finite = 0
     for c in pool:
-        if len(c.graded_basis(1)) > 10:
+        if len(c.points(1)) > 10:
             continue
         for t, s in ((1, 1), (1, Fraction(1, 2)), (Fraction(2, 3), Fraction(3, 2)),
                      (Fraction(4, 3), 0)):
@@ -594,6 +617,12 @@ def test_generators_iterate_lazily_on_big_rungs(big_rungs):
     assert len(first) == 5 and all(a < b for a, b in zip(first, first[1:]))
 
 
+def test_big_coset_is_truthy(big_rungs):
+    # a coset is never empty; its truth value must not go through a 2^90 length
+    _, c = big_rungs["t2_7^3"]
+    assert bool(c.h0_probe.generators) is True
+
+
 def _lowered(r: ClosedRegion, corner: Point) -> ClosedRegion:
     """The largest region inside r that misses the corner."""
     rest = [p for p in r.corners if p != corner]
@@ -648,7 +677,7 @@ def test_g_next_trefoil():
     reals = level0_realizers(c1)
     regions, next_reals = g_next(c1, reals, (quadrant(0, 1), quadrant(1, 0)), 1)
     assert regions == (quadrant(1, 1),)
-    assert len(next_reals[quadrant(1, 1)]) == 1
+    assert next_reals[quadrant(1, 1)].basis == ()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -676,7 +705,7 @@ def test_level0_realizers_match_oracle(atoms):
     pool += [tensor(a, b) for a, b in combinations_with_replacement(atoms.values(), 2)]
     checked = 0
     for c in pool:
-        if any(len(c.graded_basis(n)) > 14 for n in (0, 1)):
+        if any(len(c.points(n)) > 14 for n in (0, 1)):
             continue
         by_region = {}
         for v in oracles.hom_generator_bits(c):
@@ -695,7 +724,7 @@ def test_g_next_matches_oracle(atoms):
     pool += [tensor(a, b) for a, b in combinations_with_replacement(atoms.values(), 2)]
     steps = 0
     for c in pool:
-        if any(1 << len(c.graded_basis(n)) > oracles.MAX_EXHAUSTIVE for n in (0, 1)):
+        if any(1 << len(c.points(n)) > oracles.MAX_EXHAUSTIVE for n in (0, 1)):
             continue
         ours = level0_realizers(c)
         theirs = _realizer_bits(ours)
@@ -763,13 +792,13 @@ def test_g_next_keeps_all_realizers():
     regions, reals = g_next(
         c3, level0_realizers(c3), (quadrant(0, 1), quadrant(1, 0)), 1
     )
-    assert [len(reals[r]) for r in regions] == [1, 1]
+    assert [1 << len(reals[r].basis) for r in regions] == [1, 1]
     regions2, reals2 = g_next(c3, reals, (regions[0], regions[1]), 2)
     assert regions2 == (quadrant(2, 3), quadrant(3, 2))
-    assert [len(reals2[r]) for r in regions2] == [4, 4]
+    assert [1 << len(reals2[r].basis) for r in regions2] == [4, 4]
     regions3, reals3 = g_next(c3, reals2, (regions2[0], regions2[1]), 3)
     assert regions3 == (quadrant(3, 3),)
-    assert len(reals3[quadrant(3, 3)]) == 4
+    assert 1 << len(reals3[quadrant(3, 3)].basis) == 4
 
 
 def test_g_next_arbitrary_branch_choices():
