@@ -64,10 +64,13 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {text!r}") from exc
+    # no exponent form: Fraction("1e-999999999") would compute 10**999999999
+    if "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise UsageError(f"not a rational number: {text!r}")
 
 
 def _write_output(c: FormalComplex, out: str) -> None:

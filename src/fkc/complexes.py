@@ -20,7 +20,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice, takewhile
+from itertools import accumulate, islice, takewhile
 from typing import Iterable, Iterator
 
 from .gf2 import Coset, Span, rank, relations, set_bits
@@ -300,69 +300,39 @@ def genus(c: FormalComplex) -> int:
 # Threshold subcomplexes
 
 
-@dataclass(frozen=True)
-class Subcomplex:
-    """Threshold subcomplex: U^l x_k belongs iff l >= thresholds[k].
+def _homology(c: FormalComplex, thresholds: list[int]) -> tuple[tuple[int, int], ...]:
+    """H_* of the threshold subcomplex {U^l x_k : l >= thresholds[k]}, as the
+    descending pairs (n, dim H_n) with dim H_n != dim H_{n+2}: H_n vanishes
+    above every top gr_k - 2 t_k and can change only at a top or one below.
 
-    Every subcomplex cut out by a closed region has this shape, with
-    t_k = min over corners (a, b) of max(alg_k - a, alex_k - b).  Its
-    homology in every grading comes from one cached rank pass per parity.
+    The thresholds must cut out a subcomplex: t_l <= t_k + m for every
+    boundary entry x_k -> x_l with U-power m.  Every caller cuts a closed
+    region (a quadrant R_(a,b), {i <= k} or {j <= l}), t_k being the least l
+    that puts (alg_k - l, alex_k - l) in it, after the filtered-boundary
+    check alg_l - m <= alg_k, alex_l - m <= alex_k.  That check puts U^(s+m)
+    x_l at or below U^s x_k in both coordinates, so the region holds it too.
     """
+    neg_tops, ranks = [], []
+    for parity, d in zip(c._parity_indices, c._boundary_by_parity):
+        columns = sorted((2 * thresholds[k] - c.gens[k].gr, col) for k, col in zip(parity, d))
+        span = Span()
+        neg_tops.append([t for t, _ in columns])
+        ranks.append(list(accumulate((span.add(col) for _, col in columns), initial=0)))
 
-    parent: FormalComplex
-    thresholds: tuple[int, ...]
-
-    def __post_init__(self):
-        c = self.parent
-        if len(self.thresholds) != len(c.gens):
-            raise ValueError("one threshold per generator required")
-        for k in range(len(c.gens)):
-            for l in c.boundary_targets(k):
-                if self.thresholds[l] > self.thresholds[k] + c.u_power(l, k):
-                    raise ValueError("thresholds do not cut out a subcomplex")
-
-    @cached_property
-    def _rank_steps(self) -> tuple[tuple[list[int], list[int]], ...]:
-        """Per parity: the negated tops gr_k - 2 t_k of the columns, ascending,
-        and the rank after the first m columns for each m; x_k is in the
-        slices at and below its top."""
-        c = self.parent
-        steps = []
-        for parity, d in zip(c._parity_indices, c._boundary_by_parity):
-            tops = [c.gens[k].gr - 2 * self.thresholds[k] for k in parity]
-            order = sorted(range(len(parity)), key=tops.__getitem__, reverse=True)
-            span = Span()
-            ranks = [0]
-            for i in order:
-                span.add(d[i])
-                ranks.append(span.dim)
-            steps.append(([-tops[i] for i in order], ranks))
-        return tuple(steps)
-
-    def _size_rank(self, n: int) -> tuple[int, int]:
+    def size_rank(n: int) -> tuple[int, int]:
         """Size of the grading-n slice and rank of the differential out of it."""
-        neg_tops, ranks = self._rank_steps[n & 1]
-        size = bisect_right(neg_tops, -n)
-        return size, ranks[size]
+        size = bisect_right(neg_tops[n & 1], -n)
+        return size, ranks[n & 1][size]
 
-    def homology_dim(self, n: int) -> int:
-        size, r_out = self._size_rank(n)
-        return size - r_out - self._size_rank(n + 1)[1]
+    def dim(n: int) -> int:
+        size, r_out = size_rank(n)
+        return size - r_out - size_rank(n + 1)[1]
 
-    def homology(self) -> tuple[tuple[int, int], ...]:
-        """H_* as the descending pairs (n, dim H_n) with dim H_n != dim H_{n+2}.
-
-        H_n vanishes above every top and can change only at a top or one
-        below it, so dim H_n is the entry of the nearest listed n' >= n with
-        n' = n (mod 2), or 0 if there is none.
-        """
-        tops = {-t for neg_tops, _ in self._rank_steps for t in neg_tops}
-        out = []
-        for n in sorted(tops | {t - 1 for t in tops}, reverse=True):
-            h = self.homology_dim(n)
-            if h != self.homology_dim(n + 2):
-                out.append((n, h))
-        return tuple(out)
+    tops = {-t for parity in neg_tops for t in parity}
+    return tuple(
+        (n, h) for n in sorted(tops | {t - 1 for t in tops}, reverse=True)
+        if (h := dim(n)) != dim(n + 2)
+    )
 
 
 class H0Probe:
@@ -397,20 +367,6 @@ class H0Probe:
     def test(self, inside: int) -> bool:
         """True iff the positions set in inside hold a cycle outside the boundaries."""
         return next(self._generators(pair for pair in self._slice if pair[1] & inside), 0) != 0
-
-
-def quadrant_thresholds(c: FormalComplex, a: int, b: int) -> tuple[int, ...]:
-    return tuple(max(g.alg - a, g.alex - b) for g in c.gens)
-
-
-def alg_halfplane_thresholds(c: FormalComplex, k: int) -> tuple[int, ...]:
-    """Thresholds of the subcomplex over {i <= k}."""
-    return tuple(g.alg - k for g in c.gens)
-
-
-def alex_halfplane_thresholds(c: FormalComplex, l: int) -> tuple[int, ...]:
-    """Thresholds of the subcomplex over {j <= l}."""
-    return tuple(g.alex - l for g in c.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +481,12 @@ def validate(c: FormalComplex) -> ValidationReport:
     # pairs the algebraic half-plane {i <= a} with the Alexander one {j <= a}.
     box_lo, box_hi = _support_box(c)
     top = max(genus(c), 1)
-    bad_offsets = set()
-    for d in range(1, min(box_hi - box_lo, top) + 1):
-        s1 = Subcomplex(c, quadrant_thresholds(c, box_lo, box_lo + d))
-        s2 = Subcomplex(c, quadrant_thresholds(c, box_lo + d, box_lo))
-        if s1.homology() != s2.homology():
-            bad_offsets.add(d)
+
+    def quadrant(a: int, b: int) -> tuple[tuple[int, int], ...]:
+        return _homology(c, [max(g.alg - a, g.alex - b) for g in c.gens])
+
+    bad_offsets = {d for d in range(1, min(box_hi - box_lo, top) + 1)
+                   if quadrant(box_lo, box_lo + d) != quadrant(box_lo + d, box_lo)}
     # Failing pairs in (a, b) order: row a holds (a, a + d) for each failing
     # d that fits, and rows shrink as a grows.  Every d > top fails with
     # top, so the first three pairs use the first three failing d, all at
@@ -548,16 +504,17 @@ def validate(c: FormalComplex) -> ValidationReport:
     # Level j + 1 is the U^-1-translate of level j, so the lowest level
     # decides for all of them.
     euler = sum(1 if g.gr % 2 == 0 else -1 for g in c.gens)
-    for check_name, level_of, thresholds_of in (
-        ("alexander-filtration", lambda g: g.alex, alex_halfplane_thresholds),
-        ("algebraic-filtration", lambda g: g.alg, alg_halfplane_thresholds),
+    for check_name, level_of in (
+        ("alexander-filtration", lambda g: g.alex),
+        ("algebraic-filtration", lambda g: g.alg),
     ):
         if euler != 1:
             detail = f"subquotient Euler characteristic {euler}"
         else:
             j = min(level_of(g) for g in c.gens) - 1
-            # the model, F in even gradings <= 2j, has the one step (2j, 1)
-            model = Subcomplex(c, thresholds_of(c, j)).homology() == ((2 * j, 1),)
+            # the subcomplex over the half-plane {level <= j}; the model,
+            # F in even gradings <= 2j, has the one step (2j, 1)
+            model = _homology(c, [level_of(g) - j for g in c.gens]) == ((2 * j, 1),)
             detail = "" if model else f"level {j}"
         checks.append(CheckResult(check_name, not detail, detail))
     return ValidationReport(tuple(checks))
@@ -567,12 +524,10 @@ def is_stabilizer(a: FormalComplex) -> bool:
     """Acyclicity test for summands invisible to the homological invariants.
 
     True iff both level-0 filtration subcomplexes are acyclic, that is,
-    iff their step profiles (Subcomplex.homology) are empty.
+    iff their homology step profiles are empty.
     """
     report = ValidationReport(tuple(_structural_checks(a)))
     if not report.ok:
         raise ValueError(f"structural conditions fail: {', '.join(report.failed())}")
-    return all(
-        Subcomplex(a, thresholds_of(a, 0)).homology() == ()
-        for thresholds_of in (alex_halfplane_thresholds, alg_halfplane_thresholds)
-    )
+    halfplanes = ([g.alex for g in a.gens], [g.alg for g in a.gens])
+    return all(_homology(a, thresholds) == () for thresholds in halfplanes)

@@ -23,13 +23,20 @@ from operator import xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 
+def _count(n: int) -> str:
+    """n in decimal below 2^64, else by its power of two (str() refuses ints
+    of more than 4,300 digits)."""
+    e = n.bit_length() - 1
+    return str(n) if n < 1 << 64 else f"2^{e}" if n == 1 << e else f"over 2^{e}"
+
+
 class EnumerationLimitError(RuntimeError):
     """A coset enumeration would exceed the configured cap."""
 
     def __init__(self, required: int, cap: int):
         super().__init__(
-            f"enumeration requires {required} vectors but the cap is {cap}"
-            f" (rerun with --max-enum {required} or higher)"
+            f"enumeration requires {_count(required)} vectors but the cap is {_count(cap)}"
+            f" (rerun with --max-enum {_count(required)} or higher)"
         )
         self.required = required
         self.cap = cap

@@ -337,6 +337,16 @@ def quadrant_thresholds(c, a, b):
     return [max(g.alg - a, g.alex - b) for g in c.gens]
 
 
+def cuts_subcomplex(c, thresholds):
+    """Do the thresholds cut out a subcomplex?  t_l <= t_k + m must hold for
+    every boundary entry x_k -> x_l, with m its U-power."""
+    n = len(c.gens)
+    return all(
+        thresholds[l] <= thresholds[k] + (c.gens[l].gr - c.gens[k].gr + 1) // 2
+        for k in range(n) for l in range(n) if (c.d_cols[k] >> l) & 1
+    )
+
+
 def _lambda_pattern_ok(c, thresholds, level):
     n_low, n_high = sub_window(c, thresholds)
     for n in range(min(n_low - 1, 2 * level - 1), max(n_high, 2 * level) + 1):

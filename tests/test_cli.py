@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -295,6 +296,16 @@ def test_bad_t_range(data, capsys):
     code, _, err = run(capsys, "upsilon2", data["t2_3"], "--t", "2", "--s", "1")
     assert code == 2
     assert "strictly between" in err
+
+
+@pytest.mark.parametrize("t", ["1e-999999999", "5E-1"])
+def test_exponent_rational_is_usage_error(data, capsys, t):
+    # Fraction would compute 10**999999999 for the first
+    start = time.perf_counter()
+    code, _, err = run(capsys, "upsilon2", data["t2_3"], "--t", t, "--s", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"not a rational number: {t!r}" in err
 
 
 def test_tensor_output(data, tmp_path, capsys):

@@ -11,16 +11,12 @@ from fkc.complexes import (
     FkcParseError,
     FormalComplex,
     Generator,
-    Subcomplex,
-    alex_halfplane_thresholds,
-    alg_halfplane_thresholds,
     degrees,
     direct_sum,
     dual,
     genus,
     is_stabilizer,
     parse,
-    quadrant_thresholds,
     reverse,
     serialize,
     tensor,
@@ -343,7 +339,6 @@ def test_parity_broken_complex_has_no_boundary_matrix(text, pair):
         lambda: c.boundary_matrix(1),
         lambda: c.homology_dim(0),
         lambda: c.h0_probe,
-        lambda: Subcomplex(c, quadrant_thresholds(c, 0, 0)).homology(),
     ):
         with pytest.raises(ValueError, match=message):
             build()
@@ -551,13 +546,13 @@ def test_validate_matches_oracle_with_far_square(atom, a, b):
 
 def test_validate_subcomplex_count_ignores_coordinate_size(monkeypatch):
     built = []
-    post_init = Subcomplex.__post_init__
+    homology = complexes._homology
 
-    def counting(self):
-        built.append(self.thresholds)
-        post_init(self)
+    def counting(c, thresholds):
+        built.append(thresholds)
+        return homology(c, thresholds)
 
-    monkeypatch.setattr(Subcomplex, "__post_init__", counting)
+    monkeypatch.setattr(complexes, "_homology", counting)
     counts = []
     for s in (3, 3000):
         built.clear()
@@ -607,18 +602,19 @@ def test_validate_work_is_linear_in_anti_diagonal_offset(monkeypatch):
 # -- threshold subcomplexes -------------------------------------------------
 
 
-def test_subcomplex_rejects_non_closed_thresholds():
-    m = catalog.torus_staircase(1, mirror=True)
-    # keep a0 from upower 0 but b0 only from upower 5: not d-closed
-    with pytest.raises(ValueError, match="subcomplex"):
-        Subcomplex(m, (0, 0, 5))
-
-
 THRESHOLDS = {
-    "quadrant": quadrant_thresholds,
-    "alg": lambda c, a, b: alg_halfplane_thresholds(c, a),
-    "alex": lambda c, a, b: alex_halfplane_thresholds(c, b),
+    "quadrant": oracles.quadrant_thresholds,
+    "alg": lambda c, a, b: [g.alg - a for g in c.gens],
+    "alex": lambda c, a, b: [g.alex - b for g in c.gens],
 }
+
+
+@given(structural_complexes(), st.integers(-4, 4), st.integers(-4, 4))
+def test_closed_region_thresholds_cut_subcomplexes(c, a, b):
+    # the assumption complexes._homology documents, on every cut it is given
+    assert all(oracles.cuts_subcomplex(c, cut(c, a, b)) for cut in THRESHOLDS.values())
+    # the referee can fail: keep a0 from upower 0 but b0 only from upower 5
+    assert not oracles.cuts_subcomplex(catalog.torus_staircase(1, mirror=True), (0, 0, 5))
 
 
 @given(structural_complexes(), st.sampled_from(sorted(THRESHOLDS)),
@@ -626,14 +622,12 @@ THRESHOLDS = {
 @example(catalog.cn(2), "quadrant", 0, 1)
 def test_subcomplex_homology_against_dense_rank(c, kind, a, b):
     thresholds = THRESHOLDS[kind](c, a, b)
-    sub = Subcomplex(c, thresholds)
-    steps = sub.homology()
+    steps = complexes._homology(c, thresholds)
     # strictly descending, and each listed grading is a change from n + 2
     assert [n for n, _ in steps] == sorted({n for n, _ in steps}, reverse=True)
     assert all(d != oracles.sub_homology_dim(c, thresholds, n + 2) for n, d in steps)
     tops = [g.gr - 2 * t for g, t in zip(c.gens, thresholds)] or [0]
     for n in range(min(tops) - 4, max(tops) + 5):
         h = oracles.sub_homology_dim(c, thresholds, n)
-        assert sub.homology_dim(n) == h
         # dim H_n is the step at the nearest listed grading n' >= n of n's parity
         assert next((d for m, d in reversed(steps) if m >= n and (m - n) % 2 == 0), 0) == h

@@ -102,6 +102,18 @@ def test_enumerate_coset_cap():
     assert "32" in str(exc.value)
 
 
+@pytest.mark.parametrize("k, count", [(15, "32768"), (15000, "2^15000")])
+def test_cap_message_names_the_count(k, count):
+    # 2^15000 has 4,516 decimal digits, more than str() of an int renders
+    with pytest.raises(EnumerationLimitError) as exc:
+        check_cap(range(k), cap=16)
+    assert (exc.value.required, exc.value.cap) == (1 << k, 16)
+    assert str(exc.value) == (
+        f"enumeration requires {count} vectors but the cap is 16"
+        f" (rerun with --max-enum {count} or higher)"
+    )
+
+
 def test_coset_iterates_ascending():
     coset = Coset(0b0110, (0b0011, 0b1001), 4)
     assert tuple(coset) == tuple(BitVec(b, 4) for b in (0b0101, 0b0110, 0b1100, 0b1111))

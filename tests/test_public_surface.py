@@ -4,6 +4,7 @@ import fkc
 REMOVED = (
     "BitMatrix",
     "LatticeElement",
+    "Subcomplex",
     "enumerate_coset",
     "minimalize",
     "region_slice",
@@ -24,3 +25,5 @@ def test_public_surface():
     assert not hasattr(fkc.FormalComplex, "support")
     assert not hasattr(fkc.Coset, "__len__")
     assert not hasattr(fkc.gf2.Span, "basis")
+    builders = ("quadrant_thresholds", "alg_halfplane_thresholds", "alex_halfplane_thresholds")
+    assert [n for n in builders if hasattr(fkc.complexes, n)] == []
